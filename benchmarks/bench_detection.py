@@ -33,25 +33,13 @@ dataset generators and times three evaluations of the same workload:
   threads cannot beat a serial scan without a second core, and a
   dishonest-looking number helps nobody (the row records why instead);
 * ``parN``   — ``repro.api.connect(db, sigma, workers=N)``, the facade's
-  parallel task-graph dispatch at scan-group granularity (fork-based
-  process pool by default; ``--workers 0`` skips it);
+  parallel task-graph dispatch on the session's fork pool (shards sized
+  automatically; ``--workers 0`` skips it);
 * ``par-shard`` — the same dispatch with row-range sharding forced on
-  (``--shards S`` shards per scan unit, ``min_shard_rows=1``): one giant
-  scan group splits across workers instead of pinning one. The sharded
-  report is validated *order-sensitively* against naive — shard
-  merge order must reproduce scan order bit-identically;
-* ``par-persistent`` — the session-persistent fork pool vs the
-  ``pool="per-call"`` opt-out on a *warm DML/check loop* (small
-  insert/delete batches on the tiny ``interest`` relation, so the
-  versioned ScanCache leaves only a sliver of cold work and per-check
-  pool setup dominates). This is a **setup-amortization** ratio, not a
-  parallelism ratio: a persistent pool forks once and reuses its
-  workers (shipping the drifted relation through shared memory), while
-  per-call dispatch re-forks the pool inside every ``check()`` — so the
-  gate (``--min-persistent-speedup``) is meaningful at any
-  ``cpu_count``, including 1. Both sessions' reports are validated
-  order-sensitively against each other on every iteration and against
-  the serial engine at the end.
+  (``--shards S`` shards per scan unit, overriding the shard-size
+  floor): one giant scan group splits across workers instead of pinning
+  one. The sharded report is validated *order-sensitively* against
+  naive — shard merge order must reproduce scan order bit-identically.
 
 Every run first cross-validates that engine, warm, parallel, sharded,
 and naive produce identical violation lists (engine, warm, and sharded
@@ -268,7 +256,6 @@ def run_case(
     sigma: ConstraintSet,
     repeats: int,
     workers: int = 0,
-    executor: str = "auto",
     shards: int = 0,
 ) -> dict:
     plan = plan_detection(sigma)
@@ -333,8 +320,7 @@ def run_case(
         try:
             sqlfile_windows = {
                 rel: len(plan_rowid_windows(
-                    window_conn, rel, workers=max(workers, 1),
-                    min_window_rows=1, shards=shards,
+                    window_conn, rel, workers=max(workers, 1), shards=shards
                 ))
                 for rel in scan_relations
             }
@@ -346,8 +332,7 @@ def run_case(
         sqlfile_par_skipped = None
         if workers > 1 and cpu_count > 1:
             par_file_options = ExecutionOptions(
-                workers=workers, executor="thread",
-                shards=shards, min_shard_rows=1,
+                workers=workers, shards=shards
             )
 
             def sqlfile_par_cold():
@@ -405,7 +390,7 @@ def run_case(
     par_shard_s = None
     effective_executor = None
     if workers > 1:
-        options = ExecutionOptions(workers=workers, executor=executor)
+        options = ExecutionOptions(workers=workers)
         seen_executor = []
 
         def run_parallel(d):
@@ -423,11 +408,8 @@ def run_case(
             )
         if shards > 0:
             # Row-range sharding forced on: every scan unit splits into
-            # `shards` shard tasks regardless of size (min_shard_rows=1).
-            shard_options = ExecutionOptions(
-                workers=workers, executor=executor,
-                shards=shards, min_shard_rows=1,
-            )
+            # `shards` shard tasks regardless of size.
+            shard_options = ExecutionOptions(workers=workers, shards=shards)
             par_shard_s, par_shard_report = _best_cold_time(
                 db,
                 lambda d: connect(d, sigma, options=shard_options).check(),
@@ -520,103 +502,6 @@ def run_case(
     return row
 
 
-def run_persistent_case(
-    label: str,
-    db,
-    sigma: ConstraintSet,
-    repeats: int,
-    workers: int,
-    executor: str,
-    shards: int,
-) -> dict:
-    """The ``par-persistent`` row: one pool for the session vs one per call.
-
-    Drives both sessions through an identical warm DML/check loop on the
-    bank workload: each iteration inserts a fresh ``interest`` row,
-    checks, deletes it again, and checks — so every check is cache-cold
-    on exactly one tiny relation and the measured time is dominated by
-    what it costs to *stand up* the workers, which is the thing a
-    persistent pool amortizes. The first (untimed) check pays the
-    persistent pool's one-time fork; after that its PIDs never change,
-    while the per-call session re-forks inside every check.
-    """
-    iterations = max(3, repeats)
-    options = dict(
-        workers=workers, executor=executor,
-        shards=shards, min_shard_rows=1,
-    )
-    sessions = {
-        "persistent": connect(db.copy(), sigma, pool="persistent", **options),
-        "per-call": connect(db.copy(), sigma, pool="per-call", **options),
-    }
-    baselines = {
-        name: _ordered_keys(s.check()) for name, s in sessions.items()
-    }
-    if baselines["persistent"] != baselines["per-call"]:
-        raise AssertionError(
-            f"{label}: persistent and per-call baseline reports differ"
-        )
-
-    attrs = ("ab", "ct", "at", "rt")
-    totals = {name: 0.0 for name in sessions}
-    for i in range(iterations):
-        row = {"ab": f"PBENCH{i}", "ct": "UK", "at": "checking", "rt": "9.9%"}
-        canonical = tuple(row[a] for a in attrs)
-        step = {}
-        for name, session in sessions.items():
-            session.insert("interest", dict(row))
-            start = time.perf_counter()
-            inserted = session.check()
-            totals[name] += time.perf_counter() - start
-            if not session.apply(deletes=[("interest", canonical)]).deleted:
-                raise AssertionError(
-                    f"{label}: failed to delete the benchmark row again"
-                )
-            start = time.perf_counter()
-            deleted = session.check()
-            totals[name] += time.perf_counter() - start
-            step[name] = (_ordered_keys(inserted), _ordered_keys(deleted))
-        if step["persistent"] != step["per-call"]:
-            raise AssertionError(
-                f"{label}: persistent and per-call reports differ "
-                f"(order-sensitive) at iteration {i}"
-            )
-    # Every insert was deleted again, so both sessions are back at the
-    # original content *and order* — the serial engine is their oracle.
-    final = _ordered_keys(sessions["persistent"].check())
-    if final != _ordered_keys(detect(db.copy(), sigma)):
-        raise AssertionError(
-            f"{label}: persistent-pool report and serial engine differ "
-            f"(order-sensitive)"
-        )
-
-    row = {
-        "label": label,
-        "tuples": db.total_tuples(),
-        "cpu_count": os.cpu_count() or 1,
-        "iterations": iterations,
-        "checks_timed": 2 * iterations,
-        "par_persistent_s": totals["persistent"],
-        "par_percall_s": totals["per-call"],
-        "par_persistent_speedup": (
-            totals["per-call"] / totals["persistent"]
-            if totals["persistent"] > 0 else float("inf")
-        ),
-        "persistent_executor": sessions["persistent"].effective_executor,
-        "percall_executor": sessions["per-call"].effective_executor,
-    }
-    for session in sessions.values():
-        session.close()
-    print(
-        f"{label:<22} par-persistent: {row['checks_timed']} warm DML checks "
-        f"persistent={row['par_persistent_s']:.3f}s "
-        f"({row['persistent_executor']}) "
-        f"per-call={row['par_percall_s']:.3f}s ({row['percall_executor']}) "
-        f"-> {row['par_persistent_speedup']:.2f}x setup amortization"
-    )
-    return row
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -642,21 +527,9 @@ def main(argv: list[str] | None = None) -> int:
         "sharded runs; only meaningful with --workers > 1)",
     )
     parser.add_argument(
-        "--executor", choices=("auto", "process", "thread"), default="auto",
-        help="pool kind for the parallel runs (auto = fork process pool "
-        "when available)",
-    )
-    parser.add_argument(
         "--min-parallel-speedup", type=float, default=0.0,
         help="fail if the largest workload's parallel-vs-engine speedup is "
         "below this (only meaningful on multi-core machines)",
-    )
-    parser.add_argument(
-        "--min-persistent-speedup", type=float, default=0.0,
-        help="fail if the par-persistent row's warm-DML-loop speedup over "
-        "per-call fork pools is below this (a setup-amortization gate, "
-        "meaningful at any cpu_count; skipped when fork is unavailable "
-        "and the pools downgrade to threads)",
     )
     parser.add_argument(
         "--min-warm-speedup", type=float, default=0.0,
@@ -700,22 +573,11 @@ def main(argv: list[str] | None = None) -> int:
     for size in sizes:
         db = scaled_bank_instance(size, error_rate=ERROR_RATE, seed=7)
         rows.append(run_case(f"bank/{size}", db, bank_sigma, repeats,
-                             workers=workers, executor=args.executor,
-                             shards=args.shards))
+                             workers=workers, shards=args.shards))
         db = commerce_instance(n_orders=max(1, size // 2),
                                error_rate=ERROR_RATE, seed=7)
         rows.append(run_case(f"commerce/{size // 2}", db, commerce_sigma,
-                             repeats, workers=workers, executor=args.executor,
-                             shards=args.shards))
-
-    persistent_row = None
-    if workers > 1:
-        size = max(sizes)
-        db = scaled_bank_instance(size, error_rate=ERROR_RATE, seed=7)
-        persistent_row = run_persistent_case(
-            f"bank/{size}", db, bank_sigma, repeats,
-            workers=workers, executor=args.executor, shards=args.shards,
-        )
+                             repeats, workers=workers, shards=args.shards))
 
     largest = max(rows, key=lambda row: row["tuples"])
     print(
@@ -749,7 +611,6 @@ def main(argv: list[str] | None = None) -> int:
             "sizes": sizes,
             "repeats": repeats,
             "rows": rows,
-            "persistent_row": persistent_row,
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -812,26 +673,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.min_persistent_speedup and persistent_row is not None:
-        if not persistent_row["persistent_executor"].startswith("process"):
-            print(
-                "note: persistent-pool gate skipped — fork is unavailable "
-                f"here and the pools ran as "
-                f"{persistent_row['persistent_executor']!r} (the gate "
-                "measures fork amortization)"
-            )
-        elif (
-            persistent_row["par_persistent_speedup"]
-            < args.min_persistent_speedup
-        ):
-            print(
-                f"FAIL: {persistent_row['label']} persistent-pool speedup "
-                f"{persistent_row['par_persistent_speedup']:.2f}x < required "
-                f"{args.min_persistent_speedup:.2f}x over per-call fork "
-                f"pools on the warm DML/check loop",
-                file=sys.stderr,
-            )
-            return 1
     # Self-activating honesty gate: with real cores available, forced
     # row-range sharding on the largest workload must actually beat the
     # serial engine. On a 1-CPU box the assertion is physically

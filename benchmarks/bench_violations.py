@@ -8,7 +8,7 @@ growing sizes and verifies they flag the same constraints.
 
 import pytest
 
-from repro.cleaning.detect import detect_errors, detect_errors_sql
+from repro.api import connect
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 
 from _workloads import record, scaled
@@ -28,12 +28,23 @@ def _database(n_accounts: int):
     return scaled_bank_instance(n_accounts, error_rate=ERROR_RATE, seed=42)
 
 
+def detect_memory(db, sigma):
+    return connect(db, sigma).detect()
+
+
+def detect_sql(db, sigma):
+    """Violating rows per violated constraint (sqlite3 anti-joins)."""
+    with connect(db, sigma, backend="sql") as session:
+        rows = session.backend.violating_rows()
+    return {label: violating for label, violating in rows.items() if violating}
+
+
 @pytest.mark.parametrize("n_accounts", SIZES)
 def test_x3_memory_engine(benchmark, series, sigma, n_accounts):
     db = _database(n_accounts)
 
     result = benchmark.pedantic(
-        detect_errors, args=(db, sigma), rounds=3, iterations=1
+        detect_memory, args=(db, sigma), rounds=3, iterations=1
     )
     assert result.report.total > 0  # the 5% error rate plants violations
     record(benchmark, engine="memory", n_accounts=n_accounts,
@@ -46,10 +57,10 @@ def test_x3_sql_engine(benchmark, series, sigma, n_accounts):
     db = _database(n_accounts)
 
     report = benchmark.pedantic(
-        detect_errors_sql, args=(db, sigma), rounds=3, iterations=1
+        detect_sql, args=(db, sigma), rounds=3, iterations=1
     )
     assert report  # some constraint violated
-    memory = detect_errors(db, sigma)
+    memory = detect_memory(db, sigma)
     assert set(report) == set(memory.report.by_constraint())
     record(benchmark, engine="sql", n_accounts=n_accounts)
     series.add(EXPERIMENT, "sqlite3", n_accounts, benchmark.stats.stats.mean)

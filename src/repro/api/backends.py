@@ -51,7 +51,7 @@ from repro.api.options import ExecutionOptions
 from repro.api.parallel import (
     execute_plan_parallel,
     execute_sqlfile_windows,
-    resolve_executor,
+    fork_available,
 )
 from repro.api.workerpool import WorkerPool
 from repro.cleaning.incremental import IncrementalChecker
@@ -285,27 +285,15 @@ class MemoryBackend(BaseBackend):
         # across checks and mutations (the repair loop relies on this).
         self._plan = build_plan(sigma, self.options)
         self._cache = ScanCache(self._plan)
-        # Resolve the pool kind once, up front: an explicit "process" on a
-        # fork-less platform warns here (once per session, not per check)
-        # and the concrete choice is recorded for honest reporting. With
-        # the default pool="persistent" the session owns one WorkerPool
-        # reused by every check; per-call keeps the resolved kind and
-        # rebuilds the executor inside each call.
-        self._pool_kind = (
-            resolve_executor(self.options.executor)
-            if self.options.parallel
-            else None
-        )
+        # workers > 1 means one fork pool for the whole session, reused by
+        # every check. Without fork the serial engine runs instead.
         self._pool = (
-            WorkerPool(self._pool_kind, self.options.workers)
-            if self._pool_kind is not None
-            and self.options.pool == "persistent"
+            WorkerPool(self.options.workers)
+            if self.options.parallel and fork_available()
             else None
         )
         self.effective_executor = (
-            f"{self._pool_kind}-persistent"
-            if self._pool is not None
-            else self._pool_kind
+            "process" if self._pool is not None else None
         )
 
     @property
@@ -322,21 +310,18 @@ class MemoryBackend(BaseBackend):
             self.db,
             workers=self.options.workers,
             mode=mode,
-            executor=self._pool_kind,
             cache=self._cache,
-            min_shard_rows=self.options.min_shard_rows,
             shards=self.options.shards,
             pool=self._pool,
-            steal_granularity=self.options.steal_granularity,
         )
 
     def check(self) -> ViolationReport:
-        if self.options.parallel:
+        if self._pool is not None:
             return self._parallel("full")
         return execute_plan(self._plan, self.db, mode="full", cache=self._cache)
 
     def count(self) -> DetectionSummary:
-        if self.options.parallel:
+        if self._pool is not None:
             return self._parallel("count")
         return execute_plan(self._plan, self.db, mode="count", cache=self._cache)
 
@@ -603,11 +588,11 @@ class SQLFileBackend(BaseBackend):
     mutations fail loudly.
 
     ``options.workers > 1`` makes ``check``/``count`` split every *cold*
-    scan unit into contiguous rowid windows run concurrently on a bounded
-    pool of read-only connections
+    scan unit into contiguous rowid windows run concurrently on the
+    session's pool of read-only connections
     (:func:`~repro.api.parallel.execute_sqlfile_windows`; sqlite releases
-    the GIL inside queries, so the pool is always thread-based regardless
-    of ``options.executor``) and merge the partial states bit-identically;
+    the GIL inside queries, so the pool's threads scale on real cores)
+    and merge the partial states bit-identically;
     the merged group-level results land in the cache under exactly the
     serial keys, so a warm re-check is still one PRAGMA.
     ``options.shards`` forces the per-relation window count.
@@ -657,18 +642,11 @@ class SQLFileBackend(BaseBackend):
             self._fingerprint = lambda table: table_fingerprint(
                 self.conn, table
             )
-        # options.pool == "persistent": one read-only connection pool for
-        # every windowed prefetch this session runs (built lazily on the
-        # first cold parallel call; warm traffic stops paying per-call
-        # connect cost). The window pool is always thread-based, so the
-        # session reports "thread-persistent"/"thread" when parallel.
+        # One read-only connection pool (and its threads) for every
+        # windowed prefetch this session runs, built lazily on the first
+        # cold parallel call.
         self._window_pool: ReadonlyConnectionPool | None = None
-        self.effective_executor = (
-            ("thread-persistent" if self.options.pool == "persistent"
-             else "thread")
-            if self.options.parallel
-            else None
-        )
+        self.effective_executor = "thread" if self.options.parallel else None
         self._closed = False
 
     @property
@@ -740,21 +718,18 @@ class SQLFileBackend(BaseBackend):
         ]
         if not cold_groups and not cold_cind:
             return
-        if self.options.pool == "persistent" and self._window_pool is None:
+        if self._window_pool is None:
             self._window_pool = ReadonlyConnectionPool(
                 self.path, self.options.workers
             )
         cfd_hits, cind_hits = execute_sqlfile_windows(
             self._plan,
             self.sigma.schema,
-            self.path,
+            self._window_pool,
             cold_groups,
             cold_cind,
             workers=self.options.workers,
-            min_shard_rows=self.options.min_shard_rows,
             shards=self.options.shards,
-            conn_pool=self._window_pool,
-            steal_granularity=self.options.steal_granularity,
         )
         for i, hits in cfd_hits.items():
             group = self._plan.cfd_groups[i]

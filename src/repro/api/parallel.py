@@ -17,14 +17,14 @@ tasks as one dependency graph on one worker pool:
 
 The scheduler (:func:`_run_graph`) is a plain Kahn topological walk with
 a ready queue: every task whose dependencies are satisfied is submitted
-immediately, parent-side nodes (merges, the barrier) run inline the
-moment they unblock, and one pool serves the whole graph for both the
-``thread`` and ``process`` executors. Shards are sized from
-``ExecutionOptions(workers, min_shard_rows, shards)`` by
-:func:`~repro.engine.shards.make_shards`: small relations stay one shard
-per unit (the task graph degenerates to PR 2's scan-group dispatch), and
-one giant scan group — the common shape on bank/commerce — finally splits
-across cores instead of pinning one.
+to the session's pool, and parent-side nodes (merges, the barrier) run
+inline the moment they unblock. Shards are sized from
+``ExecutionOptions(workers, shards)`` by
+:func:`~repro.engine.shards.make_shards`: relations under
+:data:`~repro.engine.shards.MIN_SHARD_ROWS` rows stay one shard per unit
+(the task graph degenerates to scan-group dispatch), and one giant scan
+group — the common shape on bank/commerce — splits across cores instead
+of pinning one.
 
 The result is **identical, including order, to the serial executor**:
 shard states merge in shard order (shard 0 holds the first rows), workers
@@ -33,41 +33,25 @@ merged hits through the same
 :func:`~repro.engine.executor.assemble_from_hits` the serial path uses,
 so neither completion order nor the shard split leaks into the output.
 
-Pool flavours:
-
-* ``process`` — a fork-based :class:`~concurrent.futures.ProcessPoolExecutor`.
-  The plan and database are published in module globals *before* the first
-  submission (workers fork lazily at that point), so they are inherited
-  copy-on-write: nothing data-sized is pickled on the way in. The one
-  exception is the merged witness key sets, which only exist after the
-  barrier — they travel to CIND probe shards as arguments. On the way out
-  workers return only plain values (group keys, tuple values, kinds,
-  shard-state payloads) — never ``Tuple``/constraint objects — and the
-  parent rebinds them to its own canonical tuples.
-* ``thread`` — the same graph on a
-  :class:`~concurrent.futures.ThreadPoolExecutor`. No pickling or forking
-  at all, but CPU-bound scans stay GIL-bound; useful on platforms without
-  ``fork`` and for exercising the merge logic cheaply.
-
-Either flavour can be **session-persistent**: the caller passes a
-:class:`~repro.api.workerpool.WorkerPool` and the graph runs on its
-long-lived executor instead of a per-call pool. For persistent process
-pools the copy-on-write snapshot workers inherited at first fork goes
-stale under DML, so each execution brackets itself with
-``pool.prepare()``/``pool.finish()``: relations whose version counters
-drifted since the fork are published into shared-memory segments
-(:class:`~repro.api.workerpool.ShmRef` arguments the payload functions
-resolve worker-side), and a drift too large to ship triggers an epoch
-re-fork. Merged witness key sets ride the same segments, keyed by the
+The pool is the session's :class:`~repro.api.workerpool.WorkerPool`, a
+fork-based :class:`~concurrent.futures.ProcessPoolExecutor` that lives as
+long as the session. The plan and database are published in module
+globals *before* the first submission (workers fork lazily at that
+point), so they are inherited copy-on-write: nothing data-sized is
+pickled on the way in. On the way out workers return only plain values
+(group keys, tuple values, kinds, shard-state payloads) — never
+``Tuple``/constraint objects — and the parent rebinds them to its own
+canonical tuples. The copy-on-write snapshot goes stale under DML, so
+each execution brackets itself with ``pool.prepare()``/``pool.finish()``:
+relations whose version counters drifted since the fork are published
+into shared-memory segments (:class:`~repro.api.workerpool.ShmRef`
+arguments the payload functions resolve worker-side), and a drift too
+large to ship triggers an epoch re-fork. The merged witness key sets,
+which only exist after the barrier, ride the same segments, keyed by the
 RHS relations' versions so warm executions re-lease them without
-re-pickling.
-
-**Work stealing** falls out of the scheduler shape: shard tasks live in
-the ready deque and only up to ``2 * workers`` are in flight at once, so
-the tail of an over-partitioned scan unit (``steal_granularity`` in
-:class:`~repro.api.options.ExecutionOptions`) is claimed by whichever
-worker idles first instead of being pre-assigned. Partial states still
-merge in shard-index order, so the schedule never shows in the output.
+re-pickling. Without a pool the graph runs inline in the calling thread
+in topological order — the serial path in disguise, which tests use to
+exercise the merge logic cheaply.
 
 With a :class:`~repro.engine.cache.ScanCache`, the parent answers warm
 scan units from the cache *before* building the graph — only cold units
@@ -76,23 +60,16 @@ back keyed by relation version exactly as the serial path does: shards
 are an execution detail the cache never sees, and a warm parallel
 re-check spawns no workers at all.
 
-The executor is CPU-parallel only in ``process`` mode; measure with
-``benchmarks/bench_detection.py --workers N [--shards S]``.
+Measure with ``benchmarks/bench_detection.py --workers N [--shards S]``
+or ``perfbench/run.py --workload cold-check``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
-import warnings
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Executor, wait
 from typing import Any, Callable
 
 from repro.engine import DetectionPlan, DetectionSummary, ScanCache
@@ -133,45 +110,22 @@ from repro.sql.windows import (
 )
 
 #: Worker-visible state. Published before the pool's first submission:
-#: forked process workers inherit it copy-on-write, thread workers share
-#: it. _EXECUTION_LOCK serializes parallel executions within this process
-#: so two concurrent Sessions cannot race on the globals (and guards
-#: persistent WorkerPool state: prepare/finish run under it).
+#: forked workers inherit it copy-on-write, and the inline walk reads it
+#: in place. _EXECUTION_LOCK serializes parallel executions within this
+#: process so two concurrent Sessions cannot race on the globals (and
+#: guards WorkerPool state: prepare/finish run under it).
 _STATE: tuple[DetectionPlan, DatabaseInstance] | None = None
 _EXECUTION_LOCK = threading.Lock()
 
 #: Test seam: when set, the scheduler picks the next ready node via
 #: ``hook(len(ready)) -> index`` instead of popping the deque head. The
 #: Hypothesis permutation suite drives it to prove reports are invariant
-#: under every stealing schedule. Never set in production.
+#: under every schedule. Never set in production.
 _SCHEDULE_HOOK: Callable[[int], int] | None = None
 
 
 def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def resolve_executor(executor: str) -> str:
-    """Map an ``ExecutionOptions.executor`` value to a concrete pool kind.
-
-    ``auto`` quietly picks the best available; an *explicit* ``process``
-    request on a fork-less platform downgrades to ``thread`` with a
-    ``RuntimeWarning`` — callers asked for CPU parallelism they will not
-    get, and benchmarks reading ``Session.effective_executor`` should
-    report the pool that actually ran.
-    """
-    if executor == "auto":
-        return "process" if fork_available() else "thread"
-    if executor == "process" and not fork_available():
-        warnings.warn(
-            "executor='process' requested but the 'fork' start method is "
-            "unavailable on this platform; falling back to the GIL-bound "
-            "'thread' pool (no CPU parallelism)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "thread"
-    return executor
 
 
 def _relation_witness_specs(
@@ -196,7 +150,7 @@ def _shard_columns(instance, start: int, stop: int):
 # are bounded by the violation count and let the parent cache them for
 # either mode.
 #
-# A non-None ``ref`` (persistent pools only) means the relation drifted
+# A non-None ``ref`` (pool workers only) means the relation drifted
 # since this worker forked: its copy-on-write snapshot is stale and the
 # current columnar views are fetched from the named shared-memory
 # segment instead. ``witness_ref`` carries the merged witness key sets
@@ -265,9 +219,9 @@ def _cind_shard_payload(
     ``witness_sets`` are the merged (whole-relation) witness key sets in
     :func:`_relation_witness_specs` order — the only data that cannot be
     inherited copy-on-write, because it exists only after the barrier.
-    Persistent process pools ship them as *witness_ref* (one shared
-    segment per relation, reused across shards and warm executions)
-    instead of pickling them per task.
+    Pool workers receive them as *witness_ref* (one shared segment per
+    relation, reused across shards and warm executions) instead of
+    pickled per task; the inline walk passes them directly.
     """
     plan, db = _STATE
     tasks = plan.cind_scans[relation]
@@ -319,41 +273,24 @@ class _Node:
         self.label = label
 
 
-def _make_pool(kind: str, workers: int) -> Executor:
-    if kind == "process":
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-        )
-    return ThreadPoolExecutor(max_workers=workers)
-
-
 def _run_graph(
-    pool_kind: str,
-    workers: int,
-    nodes: list[_Node],
-    pool: WorkerPool | None = None,
+    nodes: list[_Node], executor: Executor | None, workers: int
 ) -> None:
-    """Execute *nodes* in topological order on one shared executor.
+    """Execute *nodes* in topological order on *executor*.
 
     Kahn's algorithm with a ready deque: in-degrees come from each node's
     ``deps``, parent-side nodes run inline the moment they unblock, and
-    every completion decrements its dependents. With one effective thread
-    worker the whole graph runs inline in topological order — the serial
-    path in disguise, which is exactly the degenerate case the merge laws
+    every completion decrements its dependents. Without an *executor*
+    the whole graph runs inline in topological order — the serial path
+    in disguise, which is exactly the degenerate case the merge laws
     guarantee.
 
-    Remote nodes are **work-stolen** rather than pre-assigned: at most
-    ``2 * workers`` are in flight at once, the rest wait in the ready
-    deque, and each completion lets the scheduler hand the next shard to
-    whichever worker just idled. With over-partitioned scan units
-    (``steal_granularity``) this is what keeps a skewed shard from
-    pinning one worker while the others drain. ``_SCHEDULE_HOOK`` (tests
-    only) permutes the pick to prove the schedule never shows in the
-    output.
-
-    A persistent *pool* supplies the executor and survives this call;
-    otherwise a per-call executor is built and shut down here.
+    At most ``2 * workers`` remote nodes are in flight at once; the rest
+    wait in the ready deque and go to the pool as completions free
+    slots, so witness-set arguments are built at submission time, not up
+    front. ``_SCHEDULE_HOOK`` (tests only) permutes the pick to prove
+    the schedule never shows in the output. The executor belongs to the
+    caller and outlives this call.
     """
     indegree = [len(node.deps) for node in nodes]
     dependents: list[list[int]] = [[] for __ in nodes]
@@ -361,16 +298,6 @@ def _run_graph(
         for dep in node.deps:
             dependents[dep].append(i)
     ready = deque(i for i, deg in enumerate(indegree) if deg == 0)
-    remote = sum(1 for node in nodes if node.fn is not None)
-    inline = remote == 0 or (
-        pool is None and pool_kind == "thread" and workers <= 1
-    )
-    if inline:
-        executor, owned = None, False
-    elif pool is not None:
-        executor, owned = pool.executor(), False
-    else:
-        executor, owned = _make_pool(pool_kind, min(workers, remote)), True
     futures: dict[Any, int] = {}
     in_flight_limit = max(1, 2 * workers)
 
@@ -390,33 +317,27 @@ def _run_graph(
             if indegree[j] == 0:
                 ready.append(j)
 
-    try:
-        while ready or futures:
-            deferred: list[int] = []
-            while ready:
-                i = take()
-                node = nodes[i]
-                if node.fn is None:
-                    finish(i, None)
-                elif executor is None:
-                    finish(i, node.fn(*node.make_args()))
-                elif len(futures) < in_flight_limit:
-                    futures[executor.submit(node.fn, *node.make_args())] = i
-                else:
-                    # Leave the shard in the deque: whichever worker
-                    # finishes first steals it via the next submit.
-                    deferred.append(i)
-            ready.extendleft(reversed(deferred))
-            if futures:
-                done, __ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    finish(futures.pop(future), future.result())
-        stuck = [n.label for n, deg in zip(nodes, indegree) if deg > 0]
-        if stuck:
-            raise RuntimeError(f"task graph has a dependency cycle: {stuck}")
-    finally:
-        if owned and executor is not None:
-            executor.shutdown()
+    while ready or futures:
+        deferred: list[int] = []
+        while ready:
+            i = take()
+            node = nodes[i]
+            if node.fn is None:
+                finish(i, None)
+            elif executor is None:
+                finish(i, node.fn(*node.make_args()))
+            elif len(futures) < in_flight_limit:
+                futures[executor.submit(node.fn, *node.make_args())] = i
+            else:
+                deferred.append(i)
+        ready.extendleft(reversed(deferred))
+        if futures:
+            done, __ = wait(futures, return_when=FIRST_COMPLETED)
+            for future in done:
+                finish(futures.pop(future), future.result())
+    stuck = [n.label for n, deg in zip(nodes, indegree) if deg > 0]
+    if stuck:
+        raise RuntimeError(f"task graph has a dependency cycle: {stuck}")
 
 
 # -- parent-side orchestration -------------------------------------------------
@@ -427,12 +348,9 @@ def execute_plan_parallel(
     db: DatabaseInstance,
     workers: int,
     mode: str = "full",
-    executor: str = "auto",
     cache: ScanCache | None = None,
-    min_shard_rows: int = 8192,
     shards: int = 0,
     pool: WorkerPool | None = None,
-    steal_granularity: int = 0,
 ) -> ViolationReport | DetectionSummary:
     """Run *plan* with shard tasks dispatched across *workers* workers.
 
@@ -442,41 +360,26 @@ def execute_plan_parallel(
     because its whole point is to stop at the first hit, which a fan-out
     would race past. A *cache* (bound to *plan*) short-circuits warm scan
     units parent-side and absorbs every cold unit's merged result.
-    ``min_shard_rows``/``shards``/``steal_granularity`` control the
-    per-unit row split (see :func:`~repro.engine.shards.make_shards`).
+    ``workers``/``shards`` size the per-unit row split (see
+    :func:`~repro.engine.shards.make_shards`).
 
-    A persistent *pool* (see :class:`~repro.api.workerpool.WorkerPool`)
-    supplies a long-lived executor reused across calls; its ``kind`` is
-    already resolved, so ``executor`` is ignored — which is also what
-    makes the fork-less downgrade warning fire once per session instead
-    of once per call. Without one, a per-call executor is built and torn
-    down inside this call.
+    Shard tasks run on the session's *pool* (see
+    :class:`~repro.api.workerpool.WorkerPool`), which outlives the call;
+    without one the graph runs inline in this thread.
     """
     if mode not in ("full", "count"):
         raise ValueError(f"mode must be 'full' or 'count', got {mode!r}")
     _check_cache(plan, cache, db)
-    pool_kind = pool.kind if pool is not None else resolve_executor(executor)
     try:
-        return _execute_parallel(
-            plan, db, workers, mode, pool_kind, cache, min_shard_rows,
-            shards, pool, steal_granularity,
-        )
+        return _execute_parallel(plan, db, workers, mode, cache, shards, pool)
     finally:
         release_scan_memos(db, cache)
 
 
 def _unit_shards(
-    db: DatabaseInstance,
-    relation: str,
-    workers: int,
-    min_shard_rows: int,
-    shards: int,
-    granularity: int = 0,
+    db: DatabaseInstance, relation: str, workers: int, shards: int
 ) -> list[ShardSpec]:
-    return make_shards(
-        relation, len(db[relation]), workers, min_shard_rows, shards,
-        granularity,
-    )
+    return make_shards(relation, len(db[relation]), workers, shards)
 
 
 def _execute_parallel(
@@ -484,12 +387,9 @@ def _execute_parallel(
     db: DatabaseInstance,
     workers: int,
     mode: str,
-    pool_kind: str,
     cache: ScanCache | None,
-    min_shard_rows: int,
     shards: int,
-    pool: WorkerPool | None = None,
-    steal_granularity: int = 0,
+    pool: WorkerPool | None,
 ) -> ViolationReport | DetectionSummary:
     global _STATE
 
@@ -549,8 +449,8 @@ def _execute_parallel(
     _EXECUTION_LOCK.acquire()
     _STATE = (plan, db)
     try:
-        # Persistent process pools: reconcile the workers' copy-on-write
-        # snapshot with the live database. Relations that drifted since
+        # Reconcile the pool workers' copy-on-write snapshot with the
+        # live database. Relations that drifted since
         # the pool forked get shared-memory column refs (or, past the
         # drift threshold, the pool re-forks and the map comes back
         # empty). Must happen under the lock, before the first submit.
@@ -573,10 +473,7 @@ def _execute_parallel(
         # multi-shard group gets a parent-side merge+finalize node.
         for i in cold_groups:
             group = plan.cfd_groups[i]
-            unit = _unit_shards(
-                db, group.relation, workers, min_shard_rows, shards,
-                steal_granularity,
-            )
+            unit = _unit_shards(db, group.relation, workers, shards)
             ref = shm_refs.get(group.relation)
             if len(unit) == 1:
 
@@ -630,10 +527,7 @@ def _execute_parallel(
         # relation, all merges feeding the barrier.
         witness_merge_ids: list[int] = []
         for relation in cold_witness_relations:
-            unit = _unit_shards(
-                db, relation, workers, min_shard_rows, shards,
-                steal_granularity,
-            )
+            unit = _unit_shards(db, relation, workers, shards)
             ref = shm_refs.get(relation)
             states: list[WitnessState | None] = [None] * len(unit)
             shard_ids = tuple(
@@ -674,12 +568,12 @@ def _execute_parallel(
         # resolved at submission time (they exist by then).
         def make_cind_args(relation: str, s: ShardSpec, ref: ShmRef | None):
             # Evaluated at submission time, after the barrier: the merged
-            # witness sets exist by then. Persistent process pools park
-            # them in one shared segment per relation, keyed by the RHS
-            # relations' versions so warm executions re-lease it; every
-            # other pool passes them as pickled arguments.
+            # witness sets exist by then. The pool parks them in one
+            # shared segment per relation, keyed by the RHS relations'
+            # versions so warm executions re-lease it; the inline walk
+            # passes them directly.
             specs = _relation_witness_specs(plan, relation)
-            if pool is not None and pool.kind == "process" and specs:
+            if pool is not None and specs:
                 deps = tuple(dict.fromkeys(
                     (spec.rhs_relation, db[spec.rhs_relation].version)
                     for spec in specs
@@ -696,10 +590,7 @@ def _execute_parallel(
 
         for relation in cold_cind:
             tasks = plan.cind_scans[relation]
-            unit = _unit_shards(
-                db, relation, workers, min_shard_rows, shards,
-                steal_granularity,
-            )
+            unit = _unit_shards(db, relation, workers, shards)
             ref = shm_refs.get(relation)
             buckets: list[list | None] = [None] * len(unit)
             shard_ids = tuple(
@@ -746,7 +637,13 @@ def _execute_parallel(
                 label=f"cind-merge:{relation}",
             ))
 
-        _run_graph(pool_kind, workers, nodes, pool)
+        # A fully-warm graph holds parent-side nodes only: it must not
+        # create (and so arm) the pool's executor.
+        remote = any(node.fn is not None for node in nodes)
+        _run_graph(
+            nodes, pool.executor() if pool is not None and remote else None,
+            workers,
+        )
     finally:
         if pool is not None:
             pool.finish()
@@ -767,23 +664,20 @@ def _execute_parallel(
 def execute_sqlfile_windows(
     plan: DetectionPlan,
     schema,
-    path,
+    pool: ReadonlyConnectionPool,
     cold_groups: list[int],
     cold_cind: list[str],
     workers: int,
-    min_shard_rows: int = 8192,
     shards: int = 0,
-    conn_pool: ReadonlyConnectionPool | None = None,
-    steal_granularity: int = 0,
 ) -> tuple[dict[int, list], dict[str, list]]:
     """Run the cold scan units of a ``sqlfile`` check as rowid windows.
 
     The file-side twin of :func:`execute_plan_parallel`: each cold scan
     unit's relation is split into contiguous rowid windows
     (:func:`~repro.sql.windows.plan_rowid_windows`), per-window queries
-    run concurrently on a bounded pool of read-only connections — sqlite
-    releases the GIL inside a query, so the pool is always thread-based —
-    and the partial states merge in window order through the exact
+    run concurrently on the session's *pool* of read-only
+    connections and its threads — sqlite releases the GIL inside a
+    query — and the partial states merge in window order through the exact
     machinery the in-memory parallel path uses
     (:class:`~repro.engine.shards.CFDGroupState` /
     :class:`~repro.engine.shards.WitnessState` /
@@ -802,18 +696,12 @@ def execute_sqlfile_windows(
     ``cfd_group_hits`` / ``cind_relation_hits`` results, so the caller
     caches them under the same keys.
 
-    A persistent *conn_pool* (the backend's session-scoped
+    *pool* (the backend's session-scoped
     :class:`~repro.sql.windows.ReadonlyConnectionPool`) is borrowed and
-    left open — warm traffic stops paying per-call connect cost; the
-    seeded witness temp tables are dropped from it before returning so
-    the next execution can re-seed the same connections. Without one, a
-    per-call pool is built and closed here. ``steal_granularity``
-    over-partitions the rowid windows exactly like the in-memory shards.
+    left open — warm traffic pays no connect cost; the seeded witness
+    temp tables are dropped from it before returning so the next
+    execution can re-seed the same connections.
     """
-    pool = conn_pool if conn_pool is not None else (
-        ReadonlyConnectionPool(path, workers)
-    )
-    owned = conn_pool is None
     seeded = SeededWitnesses()
     try:
         window_plans: dict[str, list] = {}
@@ -821,8 +709,7 @@ def execute_sqlfile_windows(
         def windows_for(conn, relation: str):
             if relation not in window_plans:
                 window_plans[relation] = plan_rowid_windows(
-                    conn, relation, workers, min_shard_rows, shards,
-                    steal_granularity,
+                    conn, relation, workers, shards
                 )
             return window_plans[relation]
 
@@ -978,13 +865,10 @@ def execute_sqlfile_windows(
                 label=f"cind-window-merge:{relation}",
             ))
 
-        _run_graph("thread", workers, nodes)
+        _run_graph(nodes, pool.executor(), workers)
     finally:
-        if owned:
-            pool.close()
-        else:
-            # Borrowed connections go back with their witness temp
-            # tables dropped: the next execution builds fresh ones (its
-            # witness sets may differ) without temp-table name clashes.
-            seeded.drop_all()
+        # Borrowed connections go back with their witness temp tables
+        # dropped: the next execution builds fresh ones (its witness sets
+        # may differ) without temp-table name clashes.
+        seeded.drop_all()
     return cfd_hits, cind_hits

@@ -123,16 +123,13 @@ class Session:
 
     @property
     def effective_executor(self) -> str | None:
-        """The concrete pool parallel dispatch runs on, for honest
-        reporting: ``"process-persistent"``/``"thread-persistent"`` when
-        the session owns a long-lived worker pool (the default,
-        ``pool="persistent"``), plain ``"process"``/``"thread"`` with
-        ``pool="per-call"``; the parallel ``sqlfile`` backend reports its
-        thread-based window pool the same way. An explicit
-        ``executor="process"`` that had to downgrade to ``thread`` — no
-        ``fork`` on the platform — shows up here truthfully, with one
-        ``RuntimeWarning`` at connect time (never per call). ``None`` for
-        serial sessions and backends that never parallelize."""
+        """The pool parallel dispatch runs on, for honest reporting:
+        ``"process"`` for a parallel ``memory`` session (its session-long
+        fork pool), ``"thread"`` for a parallel ``sqlfile`` session (its
+        read-only rowid-window connection pool). ``None`` for serial
+        sessions, backends that never parallelize, and ``workers > 1``
+        on ``memory`` where the platform has no ``fork`` (the serial
+        engine runs there)."""
         return getattr(self.backend, "effective_executor", None)
 
     # -- static analysis ---------------------------------------------------

@@ -1,15 +1,12 @@
 """Session-persistent worker pools + shared-memory columnar payloads.
 
-Before this module the parallel dispatcher built a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor` inside every
-``check()``/``count()`` and tore it down on the way out, so warm traffic
-— the serving layer's whole diet — paid fork + pool-teardown cost on
-every call and could never amortize it. A :class:`WorkerPool` instead
-belongs to the *backend*: created once per parallel
+A :class:`WorkerPool` belongs to the *backend*: created once per parallel
 :class:`~repro.api.backends.MemoryBackend` session, handed to
 :func:`~repro.api.parallel.execute_plan_parallel` on every call, and torn
 down by ``Session.close()`` (with a :mod:`weakref` finalizer unlinking
-shared memory even for sessions that are merely garbage-collected).
+shared memory even for sessions that are merely garbage-collected), so
+warm traffic — the serving layer's whole diet — pays fork cost once per
+session, not once per call.
 
 The correctness question a persistent fork pool raises is staleness:
 workers fork *lazily at first submit* — while the dispatcher's
@@ -58,11 +55,7 @@ import multiprocessing
 import pickle
 import weakref
 from collections import OrderedDict
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -191,7 +184,7 @@ def fetch_payload(ref: ShmRef) -> Any:
 
 
 class WorkerPool:
-    """One executor (fork process pool or thread pool) per session.
+    """One fork process pool per session.
 
     Created by a parallel backend at connect time, threaded into every
     ``execute_plan_parallel`` call, closed with the session. The executor
@@ -200,10 +193,6 @@ class WorkerPool:
     while the dispatcher's copy-on-write globals are live — and survives
     across calls; :meth:`prepare`/:meth:`finish` bracket each execution
     with the staleness policy described in the module docstring.
-
-    ``thread`` pools have no staleness problem (threads share the live
-    heap), so for them :meth:`prepare` is a no-op and only executor reuse
-    remains.
     """
 
     #: Largest total drifted-row count served via shared memory; beyond
@@ -212,19 +201,14 @@ class WorkerPool:
     #: attribute on purpose: tests pin it to force either path.
     shm_drift_rows: int = 65536
 
-    def __init__(self, kind: str, workers: int):
-        if kind not in ("process", "thread"):
-            raise ValueError(
-                f"pool kind must be 'process' or 'thread', got {kind!r}"
-            )
-        self.kind = kind
+    def __init__(self, workers: int):
         self.workers = workers
         #: Bumped every re-fork; observability for tests and benchmarks.
         self.epoch = 0
         self._snapshot: dict[str, int] = {}
         self._store = ShmColumnStore()
         self._leased: list[StoreKey] = []
-        self._executor: Executor | None = None
+        self._executor: ProcessPoolExecutor | None = None
         self._closed = False
         # GC safety net: /dev/shm segments outlive the process unless
         # unlinked — a session that is dropped without close() must not
@@ -242,35 +226,33 @@ class WorkerPool:
     def closed(self) -> bool:
         return self._closed
 
-    def executor(self) -> Executor:
-        """The live executor, created (and, for ``process``, armed to
-        fork at first submit) on demand."""
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, created (and armed to fork at first submit)
+        on demand."""
         if self._closed:
             raise RuntimeError("worker pool is closed")
         if self._executor is None:
-            if self.kind == "process":
-                # Start the resource tracker *before* any worker forks:
-                # children then inherit the live tracker fd and their
-                # attach-time registrations land in the parent's tracker
-                # (a set, so duplicates collapse). A worker forked with
-                # no tracker would lazily spawn its own, which at worker
-                # exit believes every attached segment leaked and races
-                # the parent's unlink.
-                resource_tracker.ensure_running()
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                )
-            else:
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
+            # Start the resource tracker *before* any worker forks:
+            # children then inherit the live tracker fd and their
+            # attach-time registrations land in the parent's tracker (a
+            # set, so duplicates collapse). A worker forked with no
+            # tracker would lazily spawn its own, which at worker exit
+            # believes every attached segment leaked and races the
+            # parent's unlink.
+            resource_tracker.ensure_running()
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers,
+                mp_context=multiprocessing.get_context("fork"),
+            )
         return self._executor
 
     def pids(self) -> frozenset[int]:
-        """PIDs of the current worker processes (empty for thread pools)."""
-        executor = self._executor
-        if isinstance(executor, ProcessPoolExecutor):
-            return frozenset(executor._processes)  # type: ignore[attr-defined]
-        return frozenset()
+        """PIDs of the current worker processes (empty before the first
+        submit)."""
+        if self._executor is None:
+            return frozenset()
+        processes = self._executor._processes  # type: ignore[attr-defined]
+        return frozenset(processes or ())
 
     # -- per-execution staleness protocol ----------------------------------
 
@@ -287,8 +269,6 @@ class WorkerPool:
         them), but they keep counting toward the re-fork threshold and
         stay drifted until a re-fork resets the snapshot.
         """
-        if self.kind != "process":
-            return {}
         relations = db.relations()
         current = {name: inst.version for name, inst in relations.items()}
         if self._executor is None:
@@ -388,7 +368,7 @@ class WorkerPool:
             "idle" if self._executor is None else "live"
         )
         return (
-            f"<WorkerPool {self.kind} workers={self.workers} "
+            f"<WorkerPool workers={self.workers} "
             f"epoch={self.epoch} {state}>"
         )
 

@@ -4,8 +4,6 @@ from repro.cleaning.detect import (
     DetectionResult,
     build_detection_result,
     compare_with_traditional,
-    detect_errors,
-    detect_errors_sql,
     is_clean,
 )
 from repro.cleaning.incremental import IncrementalChecker
@@ -28,8 +26,6 @@ __all__ = [
     "RoundStats",
     "build_detection_result",
     "compare_with_traditional",
-    "detect_errors",
-    "detect_errors_sql",
     "is_clean",
     "repair",
     "replay_edits",

@@ -96,30 +96,27 @@ class ShardSpec:
         )
 
 
-def resolve_shard_count(
-    n_rows: int,
-    workers: int,
-    min_shard_rows: int,
-    shards: int = 0,
-    granularity: int = 0,
-) -> int:
+#: Smallest row range worth its own shard task when the split is sized
+#: automatically: per-shard state and merge overhead only ever buys
+#: parallelism on scans big enough to need it. An explicit shard count
+#: overrides it.
+MIN_SHARD_ROWS = 8192
+
+
+def resolve_shard_count(n_rows: int, workers: int, shards: int = 0) -> int:
     """How many shards one scan unit over *n_rows* rows should use.
 
-    An explicit *shards* wins (benchmarks force specific shapes); otherwise
-    the unit is split ``min(workers, n_rows // min_shard_rows)`` ways — a
-    shard never holds fewer than *min_shard_rows* rows, so small relations
-    stay single-shard and per-shard state overhead cannot dominate the
-    scan it parallelizes. A *granularity* ``N >= 1`` raises the worker
-    bound to ``workers * N``, over-partitioning the unit into finer
-    shards that idle workers can steal when group sizes are skewed (the
-    ``min_shard_rows`` floor still applies). Always at least 1, never
-    more than ``n_rows``.
+    An explicit *shards* wins (benchmarks and tests force specific
+    shapes); otherwise the unit is split ``min(workers, n_rows //
+    MIN_SHARD_ROWS)`` ways — a shard never holds fewer than
+    :data:`MIN_SHARD_ROWS` rows, so small relations stay single-shard and
+    per-shard state overhead cannot dominate the scan it parallelizes.
+    Always at least 1, never more than ``n_rows``.
     """
     if shards > 0:
         wanted = shards
     else:
-        target = workers * granularity if granularity > 0 else workers
-        wanted = min(target, max(1, n_rows // max(1, min_shard_rows)))
+        wanted = min(workers, max(1, n_rows // MIN_SHARD_ROWS))
     return max(1, min(wanted, n_rows)) if n_rows > 0 else 1
 
 
@@ -137,19 +134,11 @@ def plan_shard_ranges(n_rows: int, count: int) -> list[tuple[int, int]]:
 
 
 def make_shards(
-    relation: str,
-    n_rows: int,
-    workers: int,
-    min_shard_rows: int,
-    shards: int = 0,
-    granularity: int = 0,
+    relation: str, n_rows: int, workers: int, shards: int = 0
 ) -> list[ShardSpec]:
     """The :class:`ShardSpec` list for one scan unit over *relation*."""
     ranges = plan_shard_ranges(
-        n_rows,
-        resolve_shard_count(
-            n_rows, workers, min_shard_rows, shards, granularity
-        ),
+        n_rows, resolve_shard_count(n_rows, workers, shards)
     )
     count = len(ranges)
     return [

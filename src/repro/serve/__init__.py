@@ -36,7 +36,12 @@ from repro.serve.feed import (
     replay,
     report_records,
 )
-from repro.serve.protocol import DetectionServer, ProtocolError
+from repro.serve.protocol import (
+    DetectionServer,
+    InternalError,
+    ProtocolError,
+    RequestTooLarge,
+)
 from repro.serve.registry import (
     ReaderPool,
     ReadWriteLock,
@@ -49,7 +54,9 @@ __all__ = [
     "DeltaSource",
     "DetectionServer",
     "DetectionService",
+    "InternalError",
     "ProtocolError",
+    "RequestTooLarge",
     "ReadWriteLock",
     "ReaderPool",
     "SessionDeltaSource",

@@ -28,13 +28,16 @@ The pieces:
   tenant's writer lock* (so deltas are totally ordered by commit
   sequence); ``publish()`` fans the delta out on the event loop.
 
-Deltas are computed by a :class:`DeltaSource`, never by a full re-check
-diff at serve time: tenants on the ``memory``/``incremental`` backends
-re-check their own session (the versioned scan cache makes that
-O(relations touched by the batch)); tenants on re-scan backends
-(``naive``/``sql``/``sqlfile``) mirror each batch into a **shadow
-incremental session** so the delta cost is O(touched groups) regardless
-of how expensive the primary backend's full check is.
+Every commit's delta is a :func:`diff_records` of two full reports, and
+a :class:`DeltaSource` decides where the new report comes from: tenants
+on the ``memory``/``incremental`` backends re-check their own session
+(the versioned scan cache re-scans only the relations the batch touched,
+plus the CIND scans that depend on them); tenants on the other backends
+(``naive``/``sql``/``sqlfile``) mirror each batch into an in-memory
+**shadow incremental session** and re-check that, so the delta never
+pays the primary backend's check (per-constraint loops, sqlite scans).
+Either way a commit costs a partial re-scan plus a diff of the whole
+report — O(touched relations + report size), not O(touched groups).
 """
 
 from __future__ import annotations
@@ -188,10 +191,9 @@ class SessionDeltaSource(DeltaSource):
     """Deltas from the tenant's own session (memory/incremental backends).
 
     The batch is already applied by the time ``commit`` runs, so this is
-    just a re-check — cheap because both backends keep versioned caches:
-    ``memory`` replays memoized scans for untouched relations, and
-    ``incremental`` answers from live violation state in O(touched
-    groups).
+    just a re-check. Both backends keep a versioned scan cache, so it
+    replays memoized scans for untouched relations and re-scans the
+    touched ones.
     """
 
     def __init__(self, session: Session):
@@ -210,13 +212,17 @@ class ShadowDeltaSource(DeltaSource):
     """Deltas from a shadow incremental session mirroring the tenant.
 
     For backends whose ``check()`` is a full re-scan (``naive``/``sql``)
-    or an out-of-core pass (``sqlfile``), diffing full re-checks per
-    commit would make write latency scale with database size. Instead the
-    service seeds an in-memory incremental session with the same data at
-    tenant creation and mirrors every batch into it — delta cost is then
-    O(touched groups) per commit, independent of the primary backend.
-    The conformance gate still holds the shadow's records bit-identical
-    to the primary's cold check.
+    or an out-of-core pass (``sqlfile``), the service seeds an in-memory
+    incremental session with the same data at tenant creation and
+    mirrors every batch into it. Each commit then applies the batch to
+    the shadow and runs a full shadow ``check()`` — its versioned scan
+    cache re-scans only the touched relations — whose records the feed
+    diffs against the previous report. The cost is independent of the
+    primary backend but not of the database: a commit pays the re-scan
+    of every touched relation and a diff of the whole report. (For
+    ``sqlfile`` tenants the shadow also holds the whole file in memory.)
+    The conformance gate holds the shadow's records bit-identical to
+    the primary's cold check.
     """
 
     def __init__(self, shadow: Session):

@@ -7,6 +7,12 @@ free of framing code. Every response is an envelope::
     {"ok": true,  "result": ...}
     {"ok": false, "error": "...", "kind": "UnknownTenantError"}
 
+Every request line gets exactly one envelope and the connection stays
+open on errors: a library error reports its own class as ``kind``, any
+other exception (a wrongly shaped row, non-UTF-8 bytes) reports
+``InternalError``, and a line longer than :data:`MAX_REQUEST_BYTES` is
+discarded up to its newline and answered with ``RequestTooLarge``.
+
 Requests are ``{"op": ..., ...}``:
 
 ``ping``                          liveness probe -> ``"pong"``
@@ -97,8 +103,24 @@ def encode_delta(delta: ViolationDelta) -> dict[str, Any]:
     }
 
 
+#: Longest request line the server reads (bytes, newline included). A
+#: longer line is discarded up to its newline and answered with a
+#: :class:`RequestTooLarge` envelope; the connection stays open.
+MAX_REQUEST_BYTES = 2**16
+
+
 class ProtocolError(ServeError):
     """A malformed request line (bad JSON, missing fields, unknown op)."""
+
+
+class RequestTooLarge(ServeError):
+    """A request line longer than :data:`MAX_REQUEST_BYTES`."""
+
+
+class InternalError(ServeError):
+    """A request failed with an exception outside :class:`ReproError`
+    (a wrongly shaped row, undecodable bytes, a bug): the envelope names
+    the original exception type and message."""
 
 
 class DetectionServer:
@@ -136,7 +158,8 @@ class DetectionServer:
 
     async def start(self) -> "DetectionServer":
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_REQUEST_BYTES,
         )
         return self
 
@@ -171,18 +194,20 @@ class DetectionServer:
         cancelled = False
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
+                subscription = None
                 try:
+                    line = await self._read_line(reader)
+                    if not line:
+                        break
                     response, subscription = await self._dispatch(line)
-                except (ReproError, ServeError) as exc:
-                    response = {
-                        "ok": False,
-                        "error": str(exc),
-                        "kind": type(exc).__name__,
-                    }
-                    subscription = None
+                except ReproError as exc:
+                    response = _error(exc)
+                except (ConnectionResetError, BrokenPipeError):
+                    raise
+                except Exception as exc:
+                    response = _error(
+                        InternalError(f"{type(exc).__name__}: {exc}")
+                    )
                 await self._send(writer, response)
                 if subscription is not None:
                     # The connection now belongs to the delta stream.
@@ -203,6 +228,32 @@ class DetectionServer:
                     await writer.wait_closed()
                 except (ConnectionResetError, BrokenPipeError):
                     pass
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        """The next request line (``b""`` at EOF).
+
+        An over-long line is consumed up to and including its newline —
+        so the next read starts at the next request — and then rejected
+        with :class:`RequestTooLarge`.
+        """
+        try:
+            return await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return exc.partial
+        except asyncio.LimitOverrunError:
+            pass
+        while True:
+            try:
+                await reader.readuntil(b"\n")
+                break
+            except asyncio.IncompleteReadError:
+                break
+            except asyncio.LimitOverrunError as exc:
+                await reader.readexactly(exc.consumed)
+        raise RequestTooLarge(
+            f"request line exceeds {MAX_REQUEST_BYTES} bytes"
+        )
 
     async def _send(
         self, writer: asyncio.StreamWriter, payload: dict[str, Any]
@@ -330,9 +381,16 @@ class DetectionServer:
         return payload, subscription
 
 
+def _error(exc: ReproError) -> dict[str, Any]:
+    return {"ok": False, "error": str(exc), "kind": type(exc).__name__}
+
+
 __all__ = [
     "DetectionServer",
+    "InternalError",
+    "MAX_REQUEST_BYTES",
     "ProtocolError",
+    "RequestTooLarge",
     "encode_delta",
     "encode_report",
     "encode_summary",

@@ -71,7 +71,8 @@ class ReadWriteLock:
     another writer is already queued.
 
     ``fast_reads``/``slow_reads``/``revocations`` are observability
-    counters for tests and the service's stats endpoint.
+    counters, read by tests and benchmarks (there is no wire op that
+    reports them).
     """
 
     __slots__ = (

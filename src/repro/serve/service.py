@@ -26,12 +26,13 @@ being *scheduled*. Per tenant:
 Delta sources are chosen by backend at tenant creation: ``memory`` and
 ``incremental`` tenants re-check their own (versioned-cache) session;
 ``naive``/``sql``/``sqlfile`` tenants get a **shadow incremental
-session** seeded with the same data, mirroring every batch — delta cost
-is O(touched groups) regardless of the primary backend's check cost.
+session** seeded with the same data, mirroring every batch — a delta
+never pays the primary backend's check cost (see
+:mod:`repro.serve.feed` for what it does cost).
 
 Parallel tenants (``workers > 1`` in the tenant's options) compose with
-the session-persistent worker pool (the ``pool="persistent"`` default):
-the service's thread executor submits ``session.check()`` which reuses
+the session's worker pool: the service's thread executor submits
+``session.check()`` which reuses
 the tenant session's long-lived fork pool / window connection pool, so
 warm serve-layer reads pay neither fork nor connect cost per request.
 The pool's state is guarded by the dispatcher's execution lock, and the

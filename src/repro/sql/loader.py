@@ -162,7 +162,8 @@ def table_rowid_bounds(
 
 
 def _row_crc(*values) -> int:
-    """Order-insensitive-summable CRC32 of one row's values.
+    """CRC32 of one row's values (rowid first, see
+    :func:`table_content_fingerprint`).
 
     ``repr`` keeps types apart (``1`` vs ``'1'`` vs ``1.0`` hash
     differently) and CRC32 is stable across processes and Python runs —
@@ -185,14 +186,17 @@ def table_content_fingerprint(
     The rowid heuristic of :func:`table_fingerprint` misses a foreign
     writer that deletes the newest row and re-inserts a different one —
     sqlite reuses the vacated max rowid, so both components come back
-    unchanged. Summing a per-row CRC32 over the *values* (computed inside
-    one SQL aggregate via a registered deterministic function) closes
-    that hole: any change to any row's content moves the sum with
-    overwhelming probability, and the sum is insertion-order-independent,
-    matching the instance's set semantics. One full-table aggregate scan
-    per call — consulted only after a ``data_version`` bump, i.e. per
-    foreign commit, never on the warm path. Tagged ``"content"`` so a
-    fingerprint from one mode can never compare equal to the other's.
+    unchanged. Summing a per-row CRC32 over each row's ``rowid`` and
+    values (computed inside one SQL aggregate via a registered
+    deterministic function) closes that hole: any change to any row's
+    content moves the sum with overwhelming probability. The rowid is in
+    the hash because it is the scan order every report follows: a delete
+    plus a re-insert of the *same* tuple gives it a new rowid, which
+    moves its violations in the report, so the fingerprint must move
+    too. One full-table aggregate scan per call — consulted only after a
+    ``data_version`` bump, i.e. per foreign commit, never on the warm
+    path. Tagged ``"content"`` so a fingerprint from one mode can never
+    compare equal to the other's.
     """
     ensure_content_hash_function(conn)
     cols = ", ".join(
@@ -200,7 +204,7 @@ def table_content_fingerprint(
         for row in conn.execute(f"PRAGMA table_info({q(table)})").fetchall()
     )
     [row] = conn.execute(
-        f"SELECT COUNT(*), COALESCE(SUM(repro_row_crc({cols})), 0) "
+        f"SELECT COUNT(*), COALESCE(SUM(repro_row_crc(rowid, {cols})), 0) "
         f"FROM {q(table)}"
     ).fetchall()
     return ("content", row[0], row[1])

@@ -45,15 +45,16 @@ than what the scan means:
   :class:`~repro.engine.shards.WitnessState` /
   :class:`~repro.engine.shards.CINDScanState`), so the existing merge +
   finalize machinery reassembles bit-identical results no matter how the
-  file was partitioned. Windows run concurrently on a
+  file was partitioned. Windows run concurrently on a session-owned
   :class:`ReadonlyConnectionPool` — sqlite releases the GIL inside
-  queries, so a thread pool scales on real cores.
+  queries, so its threads scale on real cores.
 """
 
 from __future__ import annotations
 
 import queue
 import sqlite3
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,29 +124,21 @@ class RowidWindow:
 
 
 def plan_rowid_windows(
-    conn: sqlite3.Connection,
-    relation: str,
-    workers: int,
-    min_window_rows: int = 8192,
-    shards: int = 0,
-    granularity: int = 0,
+    conn: sqlite3.Connection, relation: str, workers: int, shards: int = 0
 ) -> list[RowidWindow]:
     """Contiguous rowid windows covering *relation*, sized like shards.
 
     Reuses the engine's :func:`~repro.engine.shards.resolve_shard_count`
     policy (explicit *shards* wins; otherwise ``min(workers, rows //
-    min_window_rows)``, with *granularity* raising the worker bound to
-    ``workers * granularity`` for work stealing), then splits the
-    ``[min, max]`` rowid span into equal contiguous ranges. Files written
-    by :func:`~repro.sql.loader.create_database_file` have dense
-    sequential rowids, so equal spans carry equal row shares; sparse
-    files merely skew the split — every rowid is still covered by exactly
-    one window, which is all correctness needs.
+    MIN_SHARD_ROWS)``), then splits the ``[min, max]`` rowid span into
+    equal contiguous ranges. Files written by
+    :func:`~repro.sql.loader.create_database_file` have dense sequential
+    rowids, so equal spans carry equal row shares; sparse files merely
+    skew the split — every rowid is still covered by exactly one window,
+    which is all correctness needs.
     """
     lo, hi, n_rows = table_rowid_bounds(conn, relation)
-    count = resolve_shard_count(
-        n_rows, workers, min_window_rows, shards, granularity
-    )
+    count = resolve_shard_count(n_rows, workers, shards)
     if n_rows == 0 or count <= 1:
         return [RowidWindow(relation, 0, lo, hi)]
     span = hi - lo + 1
@@ -157,23 +150,34 @@ def plan_rowid_windows(
 
 
 class ReadonlyConnectionPool:
-    """A bounded pool of ``readonly=True`` connections to one database file.
+    """A bounded pool of ``readonly=True`` connections to one database file,
+    plus the threads that run window queries on them.
 
     Window tasks borrow a connection for the duration of one query batch
     (:meth:`connection` blocks when all are out), so ``size`` bounds the
     file descriptors and sqlite page caches a parallel scan can hold —
     and each connection is used by one thread at a time, which is all
-    sqlite's default thread mode asks of us. Temp tables seeded on a
-    pooled connection (CIND witness keys) die with :meth:`close`.
+    sqlite's default thread mode asks of us. :meth:`executor` is a
+    ``size``-thread executor created on first use and kept until
+    :meth:`close` (sqlite releases the GIL inside queries, so threads
+    scale on real cores). Temp tables seeded on a pooled connection
+    (CIND witness keys) die with :meth:`close`.
     """
 
     def __init__(self, path: str | Path, size: int):
+        self.size = max(1, size)
         self._conns = [
-            connect_file(path, readonly=True) for __ in range(max(1, size))
+            connect_file(path, readonly=True) for __ in range(self.size)
         ]
         self._queue: queue.Queue[sqlite3.Connection] = queue.Queue()
         for conn in self._conns:
             self._queue.put(conn)
+        self._executor: ThreadPoolExecutor | None = None
+
+    def executor(self) -> ThreadPoolExecutor:
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=self.size)
+        return self._executor
 
     @contextmanager
     def connection(self) -> Iterator[sqlite3.Connection]:
@@ -184,6 +188,9 @@ class ReadonlyConnectionPool:
             self._queue.put(conn)
 
     def close(self) -> None:
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
         for conn in self._conns:
             conn.close()
         self._conns = []

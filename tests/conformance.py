@@ -37,8 +37,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.api.parallel import execute_plan_parallel
 from repro.core.violations import check_database_naive
 from repro.datasets.commerce import commerce_constraints, commerce_instance
+from repro.engine import plan_detection
 from repro.errors import SessionClosedError, UnknownTenantError
 from repro.relational.instance import Tuple
 from repro.serve import DetectionService, replay, report_records
@@ -104,18 +106,19 @@ def assert_all_backends_agree(db, sigma, backends=None):
     for name in backends:
         with api.connect(db, sigma, backend=name) as session:
             assert_session_matches_reference(session, reference, name)
-    # Parallel dispatch (thread pool: cheap, exercises the same task-graph
-    # and merge code as the process pool) must match serial output exactly
-    # — both at scan-group granularity and with row-range sharding forced
-    # on (every unit split in two, so the shard merge paths always run).
-    parallel = api.connect(db, sigma, workers=2, executor="thread")
-    assert report_key(parallel.check()) == report_key(reference)
-    assert parallel.count().by_constraint() == reference.by_constraint()
-    sharded = api.connect(
-        db, sigma, workers=2, executor="thread", shards=2, min_shard_rows=1
-    )
-    assert report_key(sharded.check()) == report_key(reference)
-    assert sharded.count().by_constraint() == reference.by_constraint()
+    # The parallel task graph, walked inline (no pool: cheap, and the same
+    # graph and merge code the fork pool runs), must match serial output
+    # exactly — both at scan-group granularity and with row-range
+    # sharding forced on (every unit split in two, so the shard merge
+    # paths always run).
+    plan = plan_detection(sigma)
+    for shards in (0, 2):
+        report = execute_plan_parallel(plan, db, workers=1, shards=shards)
+        assert report_key(report) == report_key(reference)
+        summary = execute_plan_parallel(
+            plan, db, workers=1, mode="count", shards=shards
+        )
+        assert summary.by_constraint() == reference.by_constraint()
     return reference
 
 

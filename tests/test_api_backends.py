@@ -13,6 +13,8 @@ registry).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 from repro import api
 from repro.api import ExecutionOptions, MemoryBackend, SQLBackend
 from repro.api.parallel import fork_available
-from repro.cleaning.detect import detect_errors, detect_errors_sql
 from repro.core.violations import ConstraintSet, check_database_naive, constraint_labels
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.datasets.commerce import commerce_constraints, commerce_instance
@@ -104,18 +105,14 @@ class TestProcessParallel:
         db = scaled_bank_instance(300, error_rate=0.05, seed=5)
         sigma = bank_constraints()
         serial = api.connect(db, sigma).check()
-        parallel = api.connect(
-            db, sigma, workers=4, executor="process"
-        ).check()
+        parallel = api.connect(db, sigma, workers=4).check()
         assert report_key(parallel) == report_key(serial)
 
     def test_count_mode_matches(self):
         db = commerce_instance(n_orders=150, error_rate=0.1, seed=5)
         sigma = commerce_constraints()
         serial = api.connect(db, sigma).count()
-        parallel = api.connect(
-            db, sigma, workers=4, executor="process",
-        ).count()
+        parallel = api.connect(db, sigma, workers=4).count()
         assert parallel.by_constraint() == serial.by_constraint()
         assert parallel.total == serial.total
 
@@ -173,30 +170,6 @@ class TestSQLBackendAdapter:
             assert set(v.tuples) <= canonical
 
 
-class TestDeprecationShims:
-    def test_detect_errors_warns_and_matches(self, bank):
-        with pytest.warns(DeprecationWarning):
-            old = detect_errors(bank.db, bank.constraints)
-        new = api.connect(bank.db, bank.constraints).detect()
-        assert report_key(old.report) == report_key(new.report)
-        assert old.dirty_tuples == new.dirty_tuples
-
-    def test_detect_errors_naive_warns_and_matches(self, bank):
-        with pytest.warns(DeprecationWarning):
-            old = detect_errors(bank.db, bank.constraints, naive=True)
-        new = api.connect(bank.db, bank.constraints, backend="naive").detect()
-        assert report_key(old.report) == report_key(new.report)
-
-    def test_detect_errors_sql_warns_and_keeps_old_shape(self, bank):
-        with pytest.warns(DeprecationWarning):
-            old = detect_errors_sql(bank.db, bank.constraints)
-        # Historical shape: only violated constraints appear.
-        assert old and all(rows for rows in old.values())
-        with api.connect(bank.db, bank.constraints, backend="sql") as session:
-            normalized = session.backend.violating_rows()
-        assert old == {k: v for k, v in normalized.items() if v}
-
-
 class TestFacadePlumbing:
     def test_unknown_backend_rejected(self, bank):
         with pytest.raises(ReproError):
@@ -215,18 +188,28 @@ class TestFacadePlumbing:
         with pytest.raises(ValueError):
             ExecutionOptions(workers=0)
         with pytest.raises(ValueError):
-            ExecutionOptions(executor="gpu")
-        with pytest.raises(ValueError):
-            ExecutionOptions(min_shard_rows=0)
-        with pytest.raises(ValueError):
             ExecutionOptions(shards=-1)
         with pytest.raises(ValueError):
             ExecutionOptions(fingerprint="sha512")
         # The shard/fingerprint knobs accept their documented values.
-        opts = ExecutionOptions(
-            workers=2, min_shard_rows=1, shards=4, fingerprint="content"
-        )
+        opts = ExecutionOptions(workers=2, shards=4, fingerprint="content")
         assert opts.parallel and opts.shards == 4
+
+    def test_options_hold_exactly_the_eight_knobs(self, bank):
+        assert [f.name for f in dataclasses.fields(ExecutionOptions)] == [
+            "mode", "workers", "shards", "window_functions", "fingerprint",
+            "readonly", "validate", "prune_implied",
+        ]
+        # The deleted executor/pool/stealing/shard-floor knobs are gone,
+        # not silently ignored.
+        for removed in (
+            {"executor": "thread"},
+            {"pool": "per-call"},
+            {"steal_granularity": 2},
+            {"min_shard_rows": 1},
+        ):
+            with pytest.raises(TypeError):
+                api.connect(bank.db, bank.constraints, **removed)
 
     def test_options_and_fields_are_exclusive(self, bank):
         with pytest.raises(ReproError):

@@ -138,25 +138,40 @@ class TestScanCache:
             execute_plan(plan, db, cache=foreign)
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_dispatch_shares_the_cache(self, executor):
+    def test_parallel_dispatch_shares_the_cache(self, executor, tmp_path):
+        """Both parallel paths — ``sqlfile`` rowid windows on the
+        session's connection-pool threads, ``memory`` shards on its fork
+        pool — store merged results in the session's scan cache, so a
+        warm re-check misses nothing."""
         from repro.api.parallel import fork_available
+        from repro.sql.loader import create_database_file
 
         if executor == "process" and not fork_available():
             pytest.skip("fork start method unavailable")
         db = scaled_bank_instance(40, error_rate=0.1, seed=2)
         sigma = bank_constraints()
-        session = api.connect(db, sigma, workers=2, executor=executor)
+        if executor == "thread":
+            path = create_database_file(tmp_path / "bank.db", db)
+            session = api.connect(
+                path, sigma, backend="sqlfile", workers=2, shards=2
+            )
+        else:
+            session = api.connect(db, sigma, workers=2)
+        assert session.effective_executor == executor
         first = session.check()
         cache = session.backend.cache
         misses = cache.misses
-        # Warm: every scan unit answers parent-side, nothing is dispatched.
+        # Warm: every scan unit answers from the cache, nothing is dispatched.
         assert report_key(session.check()) == report_key(first)
         assert cache.misses == misses
         t = next(iter(db["saving"]))
+        expected = db.copy()
+        expected["saving"].discard(t)
         session.delete("saving", t)
         assert report_key(session.check()) == report_key(
-            check_database_naive(db, sigma)
+            check_database_naive(expected, sigma)
         )
+        session.close()
 
     def test_count_and_is_clean_share_check_entries(self):
         db = scaled_bank_instance(25, error_rate=0.1, seed=9)

@@ -722,6 +722,75 @@ class TestProtocol:
     def test_protocol_error_is_serve_error(self):
         assert issubclass(ProtocolError, ServeError)
 
+    def _probe(self, bank, bank_rows, send, replies=1):
+        """Write *send* (raw bytes) on a connection that has a ``w``
+        tenant and return the first *replies* envelopes plus the tenant's
+        total from a follow-up ``check`` on the same connection."""
+
+        async def scenario():
+            server = await self._server(bank).start()
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=2**20
+            )
+            try:
+                await _rpc(
+                    reader, writer,
+                    {"op": "create", "tenant": "w", "rows": bank_rows},
+                )
+                writer.write(send)
+                await writer.drain()
+                envelopes = [
+                    json.loads(await reader.readline())
+                    for __ in range(replies)
+                ]
+                check = await _rpc(
+                    reader, writer, {"op": "check", "tenant": "w"}
+                )
+                assert check["ok"] is True
+                return envelopes, check["result"]["total"]
+            finally:
+                writer.close()
+                await server.stop()
+
+        return run(scenario())
+
+    def test_wrongly_shaped_row_answers_internal_error(self, bank, bank_rows):
+        line = json.dumps(
+            {"op": "apply", "tenant": "w", "inserts": [["interest", 5]]}
+        ).encode() + b"\n"
+        [envelope], total = self._probe(bank, bank_rows, line)
+        assert envelope["ok"] is False
+        assert envelope["kind"] == "InternalError"
+        assert "TypeError" in envelope["error"]
+        assert total == 2  # t10 + t12: the rejected batch changed nothing
+
+    def test_non_utf8_bytes_answer_internal_error(self, bank, bank_rows):
+        [envelope], total = self._probe(
+            bank, bank_rows, b'{"op": "ping\xff"}\n'
+        )
+        assert envelope["ok"] is False
+        assert envelope["kind"] == "InternalError"
+        assert "UnicodeDecodeError" in envelope["error"]
+        assert total == 2
+
+    def test_oversized_line_answers_request_too_large(self, bank, bank_rows):
+        from repro.serve.protocol import MAX_REQUEST_BYTES
+
+        pad = "x" * (2 * MAX_REQUEST_BYTES)
+        line = json.dumps({"op": "ping", "pad": pad}).encode() + b"\n"
+        # The next request rides in the same write: the rest of the
+        # oversized line must be discarded, not parsed as a request.
+        ping = json.dumps({"op": "ping"}).encode() + b"\n"
+        envelopes, total = self._probe(
+            bank, bank_rows, line + ping, replies=2
+        )
+        too_large, pong = envelopes
+        assert too_large["ok"] is False
+        assert too_large["kind"] == "RequestTooLarge"
+        assert pong == {"ok": True, "result": "pong"}
+        assert total == 2
+
 
 # -- service odds and ends ---------------------------------------------------
 

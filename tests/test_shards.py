@@ -16,8 +16,8 @@ Hypothesis owns those laws here; the end-to-end guarantee — a sharded
 parallel ``check()`` is bit-identical to serial, including list order —
 is covered by the ``BackendContract`` registration in
 ``test_conformance.py`` plus the forced-shard cross-checks below. The
-executor-honesty tests pin the ``resolve_executor`` downgrade warning and
-``Session.effective_executor``.
+executor-honesty tests pin ``Session.effective_executor`` and the serial
+fallback on platforms without ``fork``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from repro import api
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.engine import plan_detection
 from repro.engine.executor import cfd_group_hits, cind_scan_hits, witness_sets
+import repro.engine.shards as shards_module
 from repro.engine.shards import (
+    MIN_SHARD_ROWS,
     CFDGroupState,
     CINDScanState,
     ShardSpec,
@@ -73,20 +75,21 @@ class TestShardGeometry:
         assert plan_shard_ranges(0, 4) == [(0, 0)]
 
     def test_min_shard_rows_keeps_small_relations_single_shard(self):
-        assert resolve_shard_count(100, workers=4, min_shard_rows=1000) == 1
-        assert resolve_shard_count(8000, workers=4, min_shard_rows=1000) == 4
-        assert resolve_shard_count(2500, workers=4, min_shard_rows=1000) == 2
+        floor = MIN_SHARD_ROWS
+        assert resolve_shard_count(floor - 1, workers=4) == 1
+        assert resolve_shard_count(4 * floor, workers=4) == 4
+        assert resolve_shard_count(2 * floor + floor // 2, workers=4) == 2
 
     def test_explicit_shards_win(self):
-        assert resolve_shard_count(100, 2, 1000, shards=5) == 5
-        assert resolve_shard_count(3, 2, 1000, shards=5) == 3  # capped at rows
+        assert resolve_shard_count(100, 2, shards=5) == 5
+        assert resolve_shard_count(3, 2, shards=5) == 3  # capped at rows
 
     def test_make_shards_specs(self):
-        specs = make_shards("R", 10, workers=3, min_shard_rows=1)
+        specs = make_shards("R", 3 * MIN_SHARD_ROWS, workers=3)
         assert [s.index for s in specs] == [0, 1, 2]
         assert all(s.count == 3 and s.relation == "R" for s in specs)
         assert specs[0].whole is False
-        [whole] = make_shards("R", 10, workers=1, min_shard_rows=1)
+        [whole] = make_shards("R", 10, workers=1)
         assert whole.whole and whole.rows == 10
 
     def test_invalid_range_rejected(self):
@@ -324,10 +327,7 @@ class TestShardedDispatch:
         db = scaled_bank_instance(120, error_rate=0.1, seed=3)
         sigma = bank_constraints()
         serial = api.connect(db, sigma).check()
-        session = api.connect(
-            db, sigma, workers=2, executor="thread",
-            shards=shards, min_shard_rows=1,
-        )
+        session = api.connect(db, sigma, workers=2, shards=shards)
         assert report_key(session.check()) == report_key(serial)
         assert session.count().by_constraint() == serial.by_constraint()
         # Warm re-check: the cache stores merged group-level results, so
@@ -336,27 +336,23 @@ class TestShardedDispatch:
         assert report_key(session.check()) == report_key(serial)
         assert session.backend.cache.hits > hits_before
 
-    def test_auto_sharding_respects_min_shard_rows(self):
+    def test_auto_sharding_respects_min_shard_rows(self, monkeypatch):
         db = scaled_bank_instance(60, error_rate=0.1, seed=9)
         sigma = bank_constraints()
         serial = api.connect(db, sigma).check()
-        # min_shard_rows larger than any relation: scan-group dispatch only.
-        coarse = api.connect(
-            db, sigma, workers=2, executor="thread", min_shard_rows=10**6
-        )
-        # min_shard_rows=1: every unit splits into `workers` shards.
-        fine = api.connect(
-            db, sigma, workers=2, executor="thread", min_shard_rows=1
-        )
+        # Every relation under the floor: scan-group dispatch only.
+        assert all(len(db[r]) < MIN_SHARD_ROWS for r in db.relations())
+        coarse = api.connect(db, sigma, workers=2)
         assert report_key(coarse.check()) == report_key(serial)
+        # A floor of one row: every unit splits into `workers` shards.
+        monkeypatch.setattr(shards_module, "MIN_SHARD_ROWS", 1)
+        assert len(make_shards("R", 60, workers=2)) == 2
+        fine = api.connect(db, sigma, workers=2)
         assert report_key(fine.check()) == report_key(serial)
 
     def test_mutation_then_sharded_recheck(self, bank):
         db = bank.clean_db.copy()
-        session = api.connect(
-            db, bank.constraints, workers=2, executor="thread",
-            shards=2, min_shard_rows=1,
-        )
+        session = api.connect(db, bank.constraints, workers=2, shards=2)
         assert session.check().is_clean
         session.insert(
             "interest",
@@ -371,45 +367,27 @@ class TestShardedDispatch:
 
 
 class TestEffectiveExecutor:
-    def test_process_downgrade_warns_and_is_recorded(self, bank, monkeypatch):
-        import repro.api.parallel as parallel
+    def test_forkless_platform_runs_serial_engine(self, bank, monkeypatch):
+        """Without ``fork``, ``workers=2`` on ``memory`` runs the serial
+        engine: no pool, and the serial report, list order included."""
+        import repro.api.backends as backends
 
-        monkeypatch.setattr(parallel, "fork_available", lambda: False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            session = api.connect(
-                bank.db, bank.constraints, workers=2, executor="process"
-            )
-        assert session.effective_executor == "thread-persistent"
-        # The session still works — and does not warn again per check.
-        with warnings_as_errors():
-            report = session.check()
-        assert report.total == 2
-
-    def test_per_call_downgrade_warns_once_per_session(self, bank, monkeypatch):
-        import repro.api.parallel as parallel
-
-        monkeypatch.setattr(parallel, "fork_available", lambda: False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            session = api.connect(
-                bank.db, bank.constraints, workers=2, executor="process",
-                pool="per-call",
-            )
-        assert session.effective_executor == "thread"
-        # The kind was resolved at connect time; per-call checks reuse it
-        # and must not re-warn.
-        with warnings_as_errors():
-            report = session.check()
-        assert report.total == 2
+        monkeypatch.setattr(backends, "fork_available", lambda: False)
+        serial = api.connect(bank.db, bank.constraints).check()
+        session = api.connect(bank.db, bank.constraints, workers=2)
+        assert session.effective_executor is None
+        assert session.backend._pool is None
+        assert report_key(session.check()) == report_key(serial)
+        assert session.count().by_constraint() == serial.by_constraint()
 
     def test_auto_downgrade_is_silent(self, bank, monkeypatch):
-        import repro.api.parallel as parallel
+        import repro.api.backends as backends
 
-        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        monkeypatch.setattr(backends, "fork_available", lambda: False)
         with warnings_as_errors():
-            session = api.connect(
-                bank.db, bank.constraints, workers=2, executor="auto"
-            )
-        assert session.effective_executor == "thread-persistent"
+            session = api.connect(bank.db, bank.constraints, workers=2)
+            session.check()
+        assert session.effective_executor is None
 
     def test_serial_sessions_report_none(self, bank):
         assert api.connect(bank.db, bank.constraints).effective_executor is None
@@ -425,15 +403,9 @@ class TestEffectiveExecutor:
         reason="fork start method unavailable",
     )
     def test_process_kept_when_fork_available(self, bank):
-        session = api.connect(
-            bank.db, bank.constraints, workers=2, executor="process"
-        )
-        assert session.effective_executor == "process-persistent"
-        per_call = api.connect(
-            bank.db, bank.constraints, workers=2, executor="process",
-            pool="per-call",
-        )
-        assert per_call.effective_executor == "process"
+        session = api.connect(bank.db, bank.constraints, workers=2)
+        assert session.effective_executor == "process"
+        session.close()
 
 
 class warnings_as_errors:

@@ -105,9 +105,7 @@ class TestPlanRowidWindows:
         conn = dirty_file["conn"]
         for rel in dirty_file["schema"].relation_names:
             lo, hi, n_rows = table_rowid_bounds(conn, rel)
-            windows = plan_rowid_windows(
-                conn, rel, workers=3, min_window_rows=1
-            )
+            windows = plan_rowid_windows(conn, rel, workers=3, shards=3)
             assert windows[0].lo == lo and windows[-1].hi == hi
             for prev, nxt in zip(windows, windows[1:]):
                 assert nxt.lo == prev.hi + 1          # contiguous, disjoint
@@ -130,23 +128,19 @@ class TestPlanRowidWindows:
         )
         __, __, n_rows = table_rowid_bounds(conn, rel)
         assert n_rows > 4
-        windows = plan_rowid_windows(
-            conn, rel, workers=2, min_window_rows=1, shards=4
-        )
+        windows = plan_rowid_windows(conn, rel, workers=2, shards=4)
         assert len(windows) == 4
 
     def test_small_tables_stay_single_window(self, dirty_file):
         conn = dirty_file["conn"]
-        windows = plan_rowid_windows(
-            conn, "interest", workers=8, min_window_rows=10 ** 6
-        )
+        windows = plan_rowid_windows(conn, "interest", workers=8)
         assert len(windows) == 1
 
     def test_empty_table_single_empty_window(self, dirty_file, tmp_path):
         other = sqlite3.connect(tmp_path / "empty.db")
         other.execute("CREATE TABLE e (a)")
         other.commit()
-        windows = plan_rowid_windows(other, "e", workers=4, min_window_rows=1)
+        windows = plan_rowid_windows(other, "e", workers=4, shards=4)
         assert len(windows) == 1
         assert other.execute(
             f"SELECT COUNT(*) FROM e t WHERE {windows[0].predicate()}"

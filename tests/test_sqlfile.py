@@ -558,6 +558,53 @@ class TestContentFingerprint:
             assert s.delete("interest", victim)
             assert s.is_clean()
 
+    def test_reinsert_of_same_tuple_refreshes_report_order(self, tmp_path):
+        """A foreign delete + re-insert of the *same* violating tuple gives
+        it a new rowid and so moves its violations in the report; a
+        read-only content-mode session must see the new order, exactly
+        like a fresh session."""
+        path = create_database_file(
+            tmp_path / "order.db",
+            scaled_bank_instance(200, error_rate=0.2, seed=5),
+        )
+        sigma = bank_constraints()
+        with api.connect(
+            path, sigma, backend="sqlfile", readonly=True,
+            fingerprint="content",
+        ) as reader:
+            report = reader.check()
+            before = report_key(report)
+            # Move the first violating tuple to the end of its table.
+            first = report.cind_violations[0]
+            relation = first.cind.lhs_relation.name
+            values = first.tuple_.values
+            other = sqlite3.connect(path)
+            try:
+                columns = [
+                    row[1] for row in other.execute(
+                        f'PRAGMA table_info("{relation}")'
+                    )
+                ]
+                where = " AND ".join(f'"{c}" IS ?' for c in columns)
+                [(rowid,)] = other.execute(
+                    f'SELECT rowid FROM "{relation}" WHERE {where}', values
+                ).fetchall()
+                other.execute(
+                    f'DELETE FROM "{relation}" WHERE rowid = ?', (rowid,)
+                )
+                placeholders = ", ".join("?" for __ in columns)
+                other.execute(
+                    f'INSERT INTO "{relation}" VALUES ({placeholders})',
+                    values,
+                )
+                other.commit()
+            finally:
+                other.close()
+            with api.connect(path, sigma, backend="sqlfile") as fresh:
+                expected = report_key(fresh.check())
+            assert expected != before  # the move is visible in report order
+            assert report_key(reader.check()) == expected
+
     def test_content_fingerprint_is_content_sensitive_and_stable(
         self, bank_file
     ):

@@ -1,6 +1,6 @@
-"""The persistent worker pool: reuse, drift, leaks, stealing schedules.
+"""The session worker pool: reuse, drift, leaks, schedule invariance.
 
-Four contracts from ISSUE 10:
+Four contracts:
 
 * **reuse** — a warm parallel ``check()`` spawns zero new processes: the
   PID set is identical across calls, including after small DML (the
@@ -12,7 +12,7 @@ Four contracts from ISSUE 10:
   file-descriptor count and unlinks every published shm segment (checked
   by name under ``/dev/shm``);
 * **schedule invariance** — reports are bit-identical, including list
-  order, under any work-stealing schedule: forced skewed shards cross-
+  order, under any schedule: more shards than in-flight slots cross-
   checked against serial, plus a Hypothesis permutation of the
   scheduler's ready-deque pick via ``parallel._SCHEDULE_HOOK``.
 """
@@ -29,12 +29,10 @@ from hypothesis import strategies as st
 
 from repro import api
 import repro.api.parallel as parallel
-from repro.api.options import ExecutionOptions
 from repro.api.workerpool import ShmColumnStore, WorkerPool, fetch_payload
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
 from repro.engine import plan_detection
 from repro.engine.executor import execute_plan
-from repro.engine.shards import resolve_shard_count
 
 from tests.conformance import report_key
 
@@ -47,9 +45,7 @@ NEW_ROW = {"ab": "GLA", "ct": "UK", "at": "checking", "rt": "9.9%"}
 
 
 def persistent_session(db, sigma, **overrides):
-    options = dict(
-        workers=2, executor="process", shards=2, min_shard_rows=1,
-    )
+    options = dict(workers=2, shards=2)
     options.update(overrides)
     return api.connect(db, sigma, **options)
 
@@ -63,7 +59,7 @@ class TestPoolReuse:
         sigma = bank_constraints()
         serial = api.connect(db, sigma).check()
         session = persistent_session(db, sigma)
-        assert session.effective_executor == "process-persistent"
+        assert session.effective_executor == "process"
         r1 = session.check()
         pool = session.backend._pool
         pids = pool.pids()
@@ -113,19 +109,8 @@ class TestPoolReuse:
         assert report_key(report) == report_key(oracle)
         session.close()
 
-    def test_per_call_pool_has_no_persistent_state(self, bank):
-        session = api.connect(
-            bank.db, bank.constraints, workers=2, executor="process",
-            shards=2, min_shard_rows=1, pool="per-call",
-        )
-        assert session.effective_executor == "process"
-        assert session.backend._pool is None
-        oracle = api.connect(bank.db, bank.constraints).check()
-        assert report_key(session.check()) == report_key(oracle)
-        session.close()
-
     def test_closed_pool_refuses_submissions(self):
-        pool = WorkerPool("process", 2)
+        pool = WorkerPool(2)
         pool.close()
         assert pool.closed
         with pytest.raises(RuntimeError, match="closed"):
@@ -193,63 +178,21 @@ class TestNoLeaks:
         assert len(store) == 0
 
 
-# -- work stealing -------------------------------------------------------------
+# -- schedule invariance --------------------------------------------------------
 
 
 class TestWorkStealing:
-    def test_steal_granularity_over_partitions(self):
-        # granularity 0: classic split, capped at workers.
-        assert resolve_shard_count(10_000, 2, 1, 0, 0) == 2
-        # granularity N: workers * N fine shards for idle workers to steal.
-        assert resolve_shard_count(10_000, 2, 1, 0, 4) == 8
-        # min_shard_rows still floors the shard size.
-        assert resolve_shard_count(10_000, 2, 5_000, 0, 4) == 2
-        # explicit shards always wins.
-        assert resolve_shard_count(10_000, 2, 1, 3, 4) == 3
-
-    def test_options_validate_new_fields(self):
-        assert ExecutionOptions().pool == "persistent"
-        assert ExecutionOptions().steal_granularity == 0
-        with pytest.raises(ValueError, match="pool"):
-            ExecutionOptions(pool="forever")
-        with pytest.raises(ValueError, match="steal_granularity"):
-            ExecutionOptions(steal_granularity=-1)
-        with pytest.raises(ValueError, match="steal_granularity"):
-            ExecutionOptions(steal_granularity="lots")
+    """Shards queue in the scheduler's ready deque and go to the pool as
+    in-flight slots free up, so whichever worker idles first takes the
+    next one; the schedule must never show in the report."""
 
     def test_skewed_fine_shards_match_serial(self):
         db = scaled_bank_instance(120, error_rate=0.1, seed=11)
         sigma = bank_constraints()
         serial = api.connect(db, sigma).check()
-        stealing = api.connect(
-            db, sigma, workers=2, executor="thread", min_shard_rows=1,
-            steal_granularity=5,
-        )
-        assert report_key(stealing.check()) == report_key(serial)
-        process = persistent_session(
-            db, sigma, shards=0, steal_granularity=5
-        )
-        assert report_key(process.check()) == report_key(serial)
-        process.close()
-
-    def test_sqlfile_windows_honor_granularity(self, bank, tmp_path):
-        from repro.sql.loader import create_database_file
-
-        path = tmp_path / "bank.db"
-        create_database_file(path, bank.db)
-        serial = api.connect(
-            str(path), bank.constraints, backend="sqlfile"
-        ).check()
-        stealing = api.connect(
-            str(path), bank.constraints, backend="sqlfile",
-            workers=2, min_shard_rows=1, steal_granularity=4,
-        )
-        assert stealing.effective_executor == "thread-persistent"
-        assert report_key(stealing.check()) == report_key(serial)
-        # Warm re-check over the persistent connection pool (the seeded
-        # witness tables were dropped; a second cold run must re-seed).
-        assert report_key(stealing.check()) == report_key(serial)
-        stealing.close()
+        fine = persistent_session(db, sigma, shards=10)
+        assert report_key(fine.check()) == report_key(serial)
+        fine.close()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -266,8 +209,7 @@ class TestWorkStealing:
         parallel._SCHEDULE_HOOK = lambda n: rnd.randrange(n)
         try:
             permuted = parallel.execute_plan_parallel(
-                plan, db, workers=1, executor="thread",
-                min_shard_rows=1, shards=5,
+                plan, db, workers=1, shards=5
             )
         finally:
             parallel._SCHEDULE_HOOK = None
