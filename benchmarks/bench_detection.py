@@ -16,6 +16,13 @@ dataset generators and times three evaluations of the same workload:
 * ``warm``   — a persistent ``repro.api.connect(db, sigma)`` session's
   *second* ``check()``: the versioned ScanCache replays memoized hit
   lists for the unchanged database instead of scanning;
+* ``dml``    — on a warm session over a copy, a 1-row delete plus its
+  re-insert (the tuple moves to the end of its relation) followed by
+  ``check()``: the ScanCache patches the touched scan units from the
+  relations' mutation logs instead of re-scanning them.
+  ``dml_speedup`` = engine / dml, gateable with
+  ``--min-dml-recheck-speedup``; the patched report is validated
+  order-sensitively against naive over the same (moved) data;
 * ``sqlfile``/``sqlfile_warm`` — the out-of-core backend over a sqlite
   file built from the same data: cold = a fresh session's first
   ``check()`` (the default one-pass window-function scans inside
@@ -41,11 +48,11 @@ dataset generators and times three evaluations of the same workload:
   one. The sharded report is validated *order-sensitively* against
   naive — shard merge order must reproduce scan order bit-identically.
 
-Every run first cross-validates that engine, warm, parallel, sharded,
-and naive produce identical violation lists (engine, warm, and sharded
-order-sensitively — bit-identical including list order). Exit status is
-non-zero on mismatch
-or (with ``--min-speedup`` / ``--min-warm-speedup`` /
+Every run first cross-validates that engine, warm, dml, parallel,
+sharded, and naive produce identical violation lists (engine, warm, dml
+and sharded order-sensitively — bit-identical including list order).
+Exit status is non-zero on mismatch or (with ``--min-speedup`` /
+``--min-warm-speedup`` / ``--min-dml-recheck-speedup`` /
 ``--min-parallel-speedup`` / ``--min-sqlfile-window-speedup``) when a
 speedup falls short. When ``cpu_count > 1`` the par-shard row must
 additionally beat the serial engine (``par_shard_speedup > 1``) — that
@@ -276,6 +283,25 @@ def run_case(
     warm_report = session.check()  # cold call that fills the cache
     warm_s, warm_report2 = _best_time(session.check, repeats)
 
+    # Check after a 1-row write on a warm session (over a copy: the
+    # write moves the tuple to the end of its relation, and the rows
+    # below must see the original order). The victim sits mid-relation
+    # in the relation with the most constraints.
+    hot = max(per_rel, key=per_rel.get)
+    dml_session = connect(db.copy(), sigma)
+    dml_session.check()
+    victim = dml_session.db[hot].tuples[len(dml_session.db[hot]) // 2]
+
+    def dml_recheck():
+        dml_session.apply(deletes=[(hot, victim)])
+        dml_session.apply(inserts=[(hot, victim)])
+        return dml_session.check()
+
+    dml_s, dml_report = _best_time(dml_recheck, repeats)
+    dml_expected = _ordered_keys(check_database_naive(dml_session.db, sigma))
+    dml_patches = dml_session.backend.cache.patches
+    dml_session.close()
+
     # Out-of-core: the same data as a sqlite file. Cold = a fresh session
     # per repeat (empty SQLScanCache, pushed-down scans run in sqlite);
     # warm = a persistent session's second check (fingerprints unchanged,
@@ -361,6 +387,11 @@ def run_case(
         or _ordered_keys(warm_report2) != expected_ordered
     ):
         raise AssertionError(f"{label}: warm-cache and naive violation lists differ")
+    if _ordered_keys(dml_report) != dml_expected:
+        raise AssertionError(
+            f"{label}: check after a 1-row write and naive violation lists "
+            f"differ (order-sensitive)"
+        )
     if (
         _ordered_keys(sqlfile_report) != expected_ordered
         or _ordered_keys(sqlfile_warm_report) != expected_ordered
@@ -426,6 +457,7 @@ def run_case(
 
     speedup = naive_s / engine_s if engine_s > 0 else float("inf")
     warm_speedup = engine_s / warm_s if warm_s > 0 else float("inf")
+    dml_speedup = engine_s / dml_s if dml_s > 0 else float("inf")
     sqlfile_warm_speedup = (
         sqlfile_s / sqlfile_warm_s if sqlfile_warm_s > 0 else float("inf")
     )
@@ -455,6 +487,9 @@ def run_case(
         "engine_s": engine_s,
         "count_s": count_s,
         "warm_s": warm_s,
+        "dml_s": dml_s,
+        "dml_relation": hot,
+        "dml_patches": dml_patches,
         "sqlfile_s": sqlfile_s,
         "sqlfile_warm_s": sqlfile_warm_s,
         "sqlfile_legacy_s": sqlfile_legacy_s,
@@ -467,6 +502,7 @@ def run_case(
         "effective_executor": effective_executor,
         "speedup": speedup,
         "warm_speedup": warm_speedup,
+        "dml_speedup": dml_speedup,
         "sqlfile_warm_speedup": sqlfile_warm_speedup,
         "sqlfile_window_speedup": sqlfile_window_speedup,
         "sqlfile_par_speedup": sqlfile_par_speedup,
@@ -492,10 +528,10 @@ def run_case(
         f"{label:<22} tuples={row['tuples']:<8} |Σ|={row['constraints']:<4} "
         f"viol={row['violations']:<6} naive={naive_s:.3f}s "
         f"engine={engine_s:.3f}s count={count_s:.3f}s "
-        f"warm={warm_s:.4f}s sqlfile={sqlfile_s:.3f}s "
+        f"warm={warm_s:.4f}s dml={dml_s:.4f}s sqlfile={sqlfile_s:.3f}s "
         f"sqlfile_legacy={sqlfile_legacy_s:.3f}s "
         f"sqlfile_warm={sqlfile_warm_s:.4f}s speedup={speedup:.1f}x "
-        f"warm_speedup={warm_speedup:.1f}x "
+        f"warm_speedup={warm_speedup:.1f}x dml_speedup={dml_speedup:.1f}x "
         f"sqlfile_warm_speedup={sqlfile_warm_speedup:.1f}x "
         f"sqlfile_window_speedup={sqlfile_window_speedup:.2f}x{par_part}"
     )
@@ -535,6 +571,12 @@ def main(argv: list[str] | None = None) -> int:
         "--min-warm-speedup", type=float, default=0.0,
         help="fail if any workload's cached-recheck speedup over the cold "
         "engine path is below this (1.0 = 'warm must not be slower')",
+    )
+    parser.add_argument(
+        "--min-dml-recheck-speedup", type=float, default=0.0,
+        help="fail if any workload's check after a 1-row delete + "
+        "re-insert on a warm session is below this speedup over the cold "
+        "engine path (the scan-cache patch gate)",
     )
     parser.add_argument(
         "--min-sqlfile-warm-speedup", type=float, default=0.0,
@@ -585,7 +627,8 @@ def main(argv: list[str] | None = None) -> int:
         f"({largest['scans_naive']} naive scans -> "
         f"{largest['scans_engine']} shared scans); warm recheck "
         f"{largest['warm_s']:.4f}s = {largest['warm_speedup']:.1f}x over the "
-        f"cold engine path"
+        f"cold engine path; check after a 1-row write "
+        f"{largest['dml_s']:.4f}s = {largest['dml_speedup']:.1f}x"
     )
     if largest["par_s"] is not None:
         shard_part = (
@@ -632,6 +675,19 @@ def main(argv: list[str] | None = None) -> int:
             f"{worst_warm['warm_speedup']:.2f}x < required "
             f"{args.min_warm_speedup:.2f}x (warm path must beat the cold "
             f"engine path)",
+            file=sys.stderr,
+        )
+        return 1
+    worst_dml = min(rows, key=lambda row: row["dml_speedup"])
+    if (
+        args.min_dml_recheck_speedup
+        and worst_dml["dml_speedup"] < args.min_dml_recheck_speedup
+    ):
+        print(
+            f"FAIL: {worst_dml['label']} check after a 1-row write "
+            f"{worst_dml['dml_speedup']:.2f}x < required "
+            f"{args.min_dml_recheck_speedup:.2f}x over the cold engine path "
+            f"(the scan cache must patch, not re-scan)",
             file=sys.stderr,
         )
         return 1

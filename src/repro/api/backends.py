@@ -76,7 +76,7 @@ from repro.engine import (
     plan_detection,
     plan_has_violation,
 )
-from repro.errors import SQLBackendError
+from repro.errors import SchemaError, SQLBackendError
 from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
 from repro.sql.ddl import quote_identifier, row_predicate
 from repro.sql.loader import (
@@ -219,13 +219,31 @@ class BaseBackend:
         self._invalidate()
         return True
 
-    def _coerce_tuple(self, relation: str, row: Any) -> Tuple:
-        """A canonical :class:`Tuple` for *row* on *relation* (deletes
-        must hash/compare like the stored tuple, so dict/sequence rows
-        are coerced up front)."""
-        if isinstance(row, Tuple):
-            return row
-        return Tuple(self.db[relation].schema, row)
+    def _coerce_batch(
+        self, inserts: Iterable[DMLOp], deletes: Iterable[DMLOp]
+    ) -> tuple[list[tuple[str, Tuple]], list[tuple[str, Tuple]]]:
+        """Every op of a batch as ``(relation, Tuple)``, validated before
+        the first mutation — an unknown relation or a malformed row
+        rejects the whole batch with the database untouched.
+
+        Delete rows become canonical tuples (they must hash/compare like
+        the stored ones); a delete of another relation's tuple stays a
+        set-semantics no-op, an insert of one is an error, as on the
+        single-row paths.
+        """
+
+        def coerce(relation: str, row: Any) -> Tuple:
+            schema = self.db[relation].schema
+            return row if isinstance(row, Tuple) else Tuple(schema, row)
+
+        delete_ops = [(rel, coerce(rel, row)) for rel, row in deletes]
+        insert_ops = [(rel, coerce(rel, row)) for rel, row in inserts]
+        for relation, t in insert_ops:
+            if t.schema.name != relation:
+                raise SchemaError(
+                    f"tuple of {t.schema.name!r} inserted into {relation!r}"
+                )
+        return insert_ops, delete_ops
 
     def apply(
         self, inserts: Iterable[DMLOp] = (), deletes: Iterable[DMLOp] = ()
@@ -236,15 +254,17 @@ class BaseBackend:
         single-row paths, but ``_invalidate()`` runs **once per batch**
         (and only when something actually changed) instead of once per
         row — on the SQL-image backends that is the difference between
-        one cache drop and a thousand.
+        one cache drop and a thousand. It is all-or-nothing: every op is
+        validated before the first one is applied.
         """
+        insert_ops, delete_ops = self._coerce_batch(inserts, deletes)
         deleted = 0
-        for relation, row in deletes:
-            if self.db[relation].discard(self._coerce_tuple(relation, row)):
+        for relation, t in delete_ops:
+            if self.db[relation].discard(t):
                 deleted += 1
         inserted = 0
-        for relation, row in inserts:
-            if self.db[relation].add(row) is not None:
+        for relation, t in insert_ops:
+            if self.db[relation].add(t) is not None:
                 inserted += 1
         if inserted or deleted:
             self._invalidate()
@@ -272,9 +292,10 @@ class MemoryBackend(BaseBackend):
     Alongside the plan it owns a :class:`~repro.engine.cache.ScanCache`:
     scan results are memoized against each relation's mutation version, so
     repeated ``check``/``count``/``is_clean`` calls over unchanged data
-    replay cached hit lists instead of scanning, and a repair round only
-    re-scans the relations it actually touched. Versions make mutations
-    self-invalidating — ``_invalidate`` has nothing to do.
+    replay cached hit lists instead of scanning, and after a small write
+    the touched scan units are patched from the relations' mutation logs
+    rather than re-scanned. Versions make mutations self-invalidating —
+    ``_invalidate`` has nothing to do.
     """
 
     name = "memory"
@@ -333,9 +354,12 @@ class MemoryBackend(BaseBackend):
 
     def close(self) -> None:
         # The persistent pool holds worker processes and /dev/shm
-        # segments; Session.close() is where they die.
+        # segments; Session.close() is where they die. The columnar views
+        # are kept for this session's patched re-checks; without the
+        # session they are dead weight on the caller's database.
         if self._pool is not None:
             self._pool.close()
+        self.db.release_views()
 
 
 class NaiveBackend(BaseBackend):
@@ -1048,6 +1072,10 @@ class IncrementalBackend(BaseBackend):
         """O(state) per-constraint counters over the normalized Σ."""
         return self.checker.violations()
 
+    def close(self) -> None:
+        # The columnar views serve this session's patched re-checks only.
+        self.db.release_views()
+
     def insert(self, relation, row) -> bool:
         return self.checker.insert(relation, row)
 
@@ -1063,18 +1091,19 @@ class IncrementalBackend(BaseBackend):
         state update *is* the per-row cost, and it is exactly what makes
         this backend the delta source for the serving layer's violation
         feed. ``check``/``count`` answers ride the versioned
-        :class:`~repro.engine.cache.ScanCache`, which the relation version
-        counters invalidate implicitly.
+        :class:`~repro.engine.cache.ScanCache`, which patches itself from
+        the relations' mutation logs on the next call. All-or-nothing,
+        like the other in-memory backends: every op is validated before
+        the first one reaches the checker.
         """
+        insert_ops, delete_ops = self._coerce_batch(inserts, deletes)
         deleted = 0
-        for relation, row in deletes:
-            if self.checker.delete(
-                relation, self._coerce_tuple(relation, row)
-            ):
+        for relation, t in delete_ops:
+            if self.checker.delete(relation, t):
                 deleted += 1
         inserted = 0
-        for relation, row in inserts:
-            if self.checker.insert(relation, row):
+        for relation, t in insert_ops:
+            if self.checker.insert(relation, t):
                 inserted += 1
         return ApplyResult(inserted=inserted, deleted=deleted)
 

@@ -54,8 +54,9 @@ in topological order — the serial path in disguise, which tests use to
 exercise the merge logic cheaply.
 
 With a :class:`~repro.engine.cache.ScanCache`, the parent answers warm
-scan units from the cache *before* building the graph — only cold units
-grow nodes — and stores every cold unit's **merged, group-level** result
+scan units from the cache *before* building the graph — including units
+the cache patches after a small write — so only cold units grow nodes,
+and it stores every cold unit's **merged, group-level** result
 back keyed by relation version exactly as the serial path does: shards
 are an execution detail the cache never sees, and a warm parallel
 re-check spawns no workers at all.
@@ -373,7 +374,7 @@ def execute_plan_parallel(
     try:
         return _execute_parallel(plan, db, workers, mode, cache, shards, pool)
     finally:
-        release_scan_memos(db, cache)
+        release_scan_memos(cache)
 
 
 def _unit_shards(

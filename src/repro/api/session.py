@@ -22,9 +22,10 @@ it), so choosing an engine is a performance decision, not an API decision.
 Sessions are *cheap to re-check*: the memory/incremental backends own a
 mutation-versioned :class:`~repro.engine.cache.ScanCache`, so a second
 ``check()``/``count()``/``is_clean()`` over unchanged data replays
-memoized scan results instead of re-scanning, and ``insert``/``delete``
-invalidate exactly the entries for the relations they touch. Keep one
-session per (db, Σ) workload rather than reconnecting per call.
+memoized scan results instead of re-scanning, and after a small
+``insert``/``delete``/``apply`` the next check patches the entries of the
+touched scan units from the write's delta. Keep one session per
+(db, Σ) workload rather than reconnecting per call.
 """
 
 from __future__ import annotations
@@ -237,7 +238,10 @@ class Session:
         result counts only the rows that actually changed. The batch
         pays **one** cache invalidation (and, on ``sqlfile``, one
         transaction) regardless of its size — the write-path contract
-        the serving layer's throughput rests on.
+        the serving layer's throughput rests on. It is all-or-nothing:
+        every op is validated before the first one is applied, so a bad
+        op (unknown relation, malformed row) raises with the data
+        untouched.
         """
         self._ensure_open()
         return self.backend.apply(inserts=inserts, deletes=deletes)

@@ -225,10 +225,6 @@ class IncrementalChecker:
                     if witness_count.get(key, 0) == 0:
                         state.add_violation(key, t)
 
-        # The columnar views were build-time artifacts; after the bulk
-        # build all maintenance is per-tuple.
-        self.db.release_views()
-
     # -- public API -----------------------------------------------------------
 
     def insert(self, relation: str, row: Tuple | Sequence[Any] | Mapping[str, Any]) -> bool:

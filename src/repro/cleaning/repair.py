@@ -149,49 +149,6 @@ def replay_edits(db: DatabaseInstance, edits: list[RepairEdit]) -> DatabaseInsta
     return out
 
 
-# -- worklist ordering --------------------------------------------------------
-
-
-class _PositionIndex:
-    """Scan-order positions of live tuples, maintained across batches.
-
-    The engine reports CFD group keys in first-occurrence scan order and
-    CIND tuples in scan order. A checker-fed worklist has only *sets*, so
-    this index re-derives that order: every tuple gets a monotonically
-    increasing ticket at insertion, deletes retire tickets, and a
-    re-inserted tuple gets a fresh (higher) ticket — exactly matching the
-    insertion-ordered relation dict (and sqlite rowid order) the scans
-    iterate.
-    """
-
-    def __init__(self, db: DatabaseInstance):
-        self._pos: dict[str, dict[Tuple, int]] = {}
-        self._next = 0
-        for name, instance in db.relations().items():
-            positions = self._pos[name] = {}
-            for t in instance.rows():
-                positions[t] = self._next
-                self._next += 1
-
-    def note_batch(
-        self,
-        deletes: list[tuple[str, Tuple]],
-        inserts: list[tuple[str, Tuple]],
-    ) -> None:
-        """Record one applied batch (deletes first, then inserts — the
-        ``Session.apply`` order)."""
-        for relation, t in deletes:
-            self._pos[relation].pop(t, None)
-        for relation, t in inserts:
-            positions = self._pos[relation]
-            if t not in positions:
-                positions[t] = self._next
-                self._next += 1
-
-    def of(self, relation: str, t: Tuple) -> int:
-        return self._pos[relation].get(t, self._next)
-
-
 def _normalized_alignment(
     sigma: ConstraintSet, checker: "IncrementalChecker"
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -282,9 +239,9 @@ class _CheckerSource:
     backend) or to a shadow incremental session mirroring the primary's
     batches (re-scan backends). Either way, the next round's worklist is
     assembled from the checker's *maintained* violation state — updated
-    in O(touched groups) by the batch itself — then ordered against the
-    planning instance so it is bit-identical to what a full re-scan
-    would report.
+    in O(touched groups) by the batch itself — then ordered by the
+    planning instance's insertion sequences, so it is bit-identical to
+    what a full re-scan would report.
     """
 
     def __init__(
@@ -292,14 +249,12 @@ class _CheckerSource:
         checker: "IncrementalChecker",
         sigma: ConstraintSet,
         plan_db: DatabaseInstance,
-        positions: _PositionIndex,
         labels: dict[int, str],
         shadow: "Session | None" = None,
     ):
         self.checker = checker
         self.sigma = sigma
         self.plan_db = plan_db
-        self.positions = positions
         self.labels = labels
         self.shadow = shadow
         self.cfd_map, self.cind_map = _normalized_alignment(sigma, checker)
@@ -316,8 +271,7 @@ class _CheckerSource:
                 per_task.setdefault(slot, set()).update(violated)
         items: list[WorkItem] = []
         for index, cfd in enumerate(self.sigma.cfds):
-            relation = cfd.relation.name
-            instance = self.plan_db[relation]
+            instance = self.plan_db[cfd.relation.name]
             label = self.labels[id(cfd)]
             for row in range(len(cfd.tableau)):
                 keys = per_task.get((index, row))
@@ -327,8 +281,7 @@ class _CheckerSource:
                     key: instance.lookup(cfd.lhs, key) for key in keys
                 }
                 for key in sorted(
-                    keys,
-                    key=lambda k: self.positions.of(relation, groups[k][0]),
+                    keys, key=lambda k: instance.seq_of(groups[k][0])
                 ):
                     items.append(
                         CFDWork(
@@ -345,15 +298,13 @@ class _CheckerSource:
             if tuples:
                 per_cind[slot] = tuples
         for index, cind in enumerate(self.sigma.cinds):
-            relation = cind.lhs_relation.name
+            instance = self.plan_db[cind.lhs_relation.name]
             label = self.labels[id(cind)]
             for row in range(len(cind.tableau)):
                 tuples = per_cind.get((index, row))
                 if not tuples:
                     continue
-                for t in sorted(
-                    tuples, key=lambda t: self.positions.of(relation, t)
-                ):
+                for t in sorted(tuples, key=instance.seq_of):
                     items.append(
                         CINDWork(
                             cind=cind, pattern_index=row, label=label, tuple_=t
@@ -500,7 +451,6 @@ def repair(
                 session.backend.checker,
                 sigma,
                 work,
-                _PositionIndex(work),
                 labels,
             )
         else:
@@ -512,7 +462,6 @@ def repair(
                 shadow.backend.checker,
                 sigma,
                 work,
-                _PositionIndex(work),
                 labels,
                 shadow=shadow,
             )
@@ -552,8 +501,6 @@ def repair(
                     work[relation].discard(t)
                 for relation, t in plan.inserts:
                     work[relation].add(t)
-            if isinstance(source, _CheckerSource):
-                source.positions.note_batch(plan.deletes, plan.inserts)
             source.commit(plan)
             edits.extend(plan.edits)
             rounds_executed = round_no

@@ -22,7 +22,8 @@ projection key list is built once per ``(relation, positions)`` with
 (C-speed tuple construction), shared across every scan unit that needs it,
 and — when a :class:`~repro.engine.cache.ScanCache` is supplied — memoized
 against the relation's mutation version so a re-check of unchanged data
-skips the scan entirely and replays the cached hit lists.
+skips the scan entirely and replays the cached hit lists, and a re-check
+after a small write patches them from the relations' mutation logs.
 
 Scan units are *sharded* underneath (:mod:`repro.engine.shards`): each
 unit is a ``map_shard`` over a row range producing a mergeable partial
@@ -416,15 +417,17 @@ def assemble_summary(
 # -- top-level execution ------------------------------------------------------
 
 
-def release_scan_memos(db: DatabaseInstance, cache: ScanCache | None) -> None:
-    """Drop scan-lifetime memos (columnar views, projection key lists).
+def release_scan_memos(cache: ScanCache | None) -> None:
+    """Drop the scan-lifetime projection key lists.
 
-    Both exist to be shared across the scan units of *one* plan execution;
+    They exist to be shared across the scan units of *one* plan execution;
     across executions the hit/witness caches answer warm calls and a
     version bump stales them anyway, so holding O(tuples)-sized lists on a
-    long-lived database/session would be pure memory cost.
+    long-lived session would be pure memory cost. The relations' columnar
+    views stay: after a small write the cache's patches read them, and
+    the views themselves follow the write by slicing, not by a new
+    transpose.
     """
-    db.release_views()
     if cache is not None:
         cache.release_projections()
 
@@ -463,8 +466,9 @@ def execute_plan(
 
     With a :class:`~repro.engine.cache.ScanCache` (bound to *plan*), scan
     results are memoized per relation version: a re-check over unchanged
-    data replays cached hit lists instead of scanning, and both modes share
-    the same entries.
+    data replays cached hit lists instead of scanning, a re-check after a
+    small logged write patches them, and both modes share the same
+    entries.
     """
     if mode not in ("full", "count"):
         raise ValueError(f"mode must be 'full' or 'count', got {mode!r}")
@@ -482,7 +486,7 @@ def execute_plan(
         ]
         return assemble_from_hits(plan, db, cfd_hits, cind_hits, mode)
     finally:
-        release_scan_memos(db, cache)
+        release_scan_memos(cache)
 
 
 def assemble_from_hits(
@@ -579,4 +583,4 @@ def plan_has_violation(
                 cache.store_cind_hits(relation, instance.version, deps, [])
         return False
     finally:
-        release_scan_memos(db, cache)
+        release_scan_memos(cache)

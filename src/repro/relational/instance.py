@@ -14,6 +14,10 @@ engine manipulates templates through the same API plus
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DomainError, SchemaError
@@ -121,6 +125,38 @@ class Tuple:
         return f"{self.schema.name}({inner})"
 
 
+#: How many of its latest ``add``/``discard`` calls a relation remembers
+#: (:meth:`RelationInstance.changes_since`). Consumers that fell further
+#: behind — and every consumer after a ``replace_value`` — rebuild from the
+#: full relation instead of patching from the log.
+MUTATION_LOG_SIZE = 256
+
+#: One logged mutation: ``(tuple, insertion sequence, inserted?)``. A
+#: delete logs the sequence number the tuple had while it was stored.
+Change = tuple[Tuple, int, bool]
+
+
+def _projector(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``values -> tuple(values[p] for p in positions)``, C-speed for two or
+    more positions."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda values: (values[p],)
+    return itemgetter(*positions)
+
+
+def _positions_of(column: Sequence[Any], value: Any) -> Iterator[int]:
+    """Every index of *value* in *column*, via C-speed ``index`` hops."""
+    find = column.index
+    i = -1
+    while True:
+        try:
+            i = find(value, i + 1)
+        except ValueError:
+            return
+        yield i
+
+
 class RelationInstance:
     """A set of tuples over one relation schema, with projection indexes.
 
@@ -130,15 +166,25 @@ class RelationInstance:
     invalidated on value replacement (which rewrites tuples wholesale).
 
     Every mutation bumps the monotonic :attr:`version` counter, which keys
-    the lazily materialized columnar view (:meth:`columns` / :meth:`rows`)
-    and the detection engine's :class:`~repro.engine.cache.ScanCache`: a
-    scan result tagged with the version it was computed at stays valid
-    exactly as long as the version is unchanged.
+    the columnar view (:meth:`columns` / :meth:`rows`) and the detection
+    engine's :class:`~repro.engine.cache.ScanCache`: a scan result tagged
+    with the version it was computed at stays valid exactly as long as the
+    version is unchanged.
+
+    Every stored tuple carries its *insertion sequence* (:meth:`seq_of`,
+    strictly increasing in insertion order, so it orders tuples exactly
+    as scans see them), and the last :data:`MUTATION_LOG_SIZE` mutations
+    stay in a log (:meth:`changes_since`). Together they let the columnar
+    view and the scan cache follow a small write by patching — slicing
+    the deleted rows out, appending the inserted ones — instead of
+    re-reading the whole relation.
     """
 
     def __init__(self, schema: RelationSchema, tuples: Iterable[Tuple | Sequence[Any] | Mapping[str, Any]] = ()):
         self.schema = schema
-        self._tuples: dict[Tuple, None] = {}
+        #: tuple -> insertion sequence (dict order is insertion order).
+        self._tuples: dict[Tuple, int] = {}
+        self._next_seq = 0
         #: projection attrs -> key -> insertion-ordered tuple set. Buckets
         #: are dicts so removal is O(1) by hash instead of an O(bucket)
         #: equality sweep; iteration order stays insertion order.
@@ -146,6 +192,9 @@ class RelationInstance:
         #: Monotonic mutation counter (never decreases, bumps on every
         #: successful add/discard/replace_value).
         self.version: int = 0
+        #: The latest mutations, one entry per version bump; it covers
+        #: versions ``(version - len(_log), version]``.
+        self._log: deque[Change] = deque(maxlen=MUTATION_LOG_SIZE)
         self._columns: tuple[tuple[Any, ...], ...] | None = None
         self._rows: list[Tuple] | None = None
         self._view_version: int = -1
@@ -172,23 +221,36 @@ class RelationInstance:
         t = self._coerce(row)
         if t in self._tuples:
             return None
-        self._tuples[t] = None
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._tuples[t] = seq
         self.version += 1
+        self._log.append((t, seq, True))
+        if self._rows is not None:
+            self._outran_views()
         for attrs, index in self._indexes.items():
             index.setdefault(t.project(attrs), {})[t] = None
         return t
 
     def discard(self, row: Tuple) -> bool:
         """Remove a tuple if present; return ``True`` if it was removed."""
-        if row not in self._tuples:
+        seq = self._tuples.pop(row, None)
+        if seq is None:
             return False
-        del self._tuples[row]
         self.version += 1
+        self._log.append((row, seq, False))
+        if self._rows is not None:
+            self._outran_views()
         for attrs, index in self._indexes.items():
             bucket = index.get(row.project(attrs))
             if bucket is not None:
                 bucket.pop(row, None)
         return True
+
+    def _outran_views(self) -> None:
+        """Drop a view the log can no longer carry forward."""
+        if self.version - self._view_version > MUTATION_LOG_SIZE:
+            self._drop_views()
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -203,20 +265,101 @@ class RelationInstance:
     def tuples(self) -> tuple[Tuple, ...]:
         return tuple(self._tuples)
 
+    def seq_of(self, row: Tuple) -> int:
+        """The insertion sequence of a stored tuple (``KeyError`` if absent).
+
+        Sequences grow in insertion order, so sorting by them is sorting
+        into scan order; a re-inserted tuple gets a new, larger one.
+        """
+        return self._tuples[row]
+
+    def changes_since(self, version: int) -> list[Change] | None:
+        """The mutations that moved :attr:`version` past *version*, oldest
+        first — ``None`` when the log no longer reaches back that far.
+
+        Entries record what happened, not the net effect: a tuple deleted
+        and re-inserted in the gap appears twice.
+        """
+        gap = self.version - version
+        if gap < 0 or gap > len(self._log):
+            return None
+        if gap == 0:
+            return []
+        log = self._log
+        return [log[i] for i in range(len(log) - gap, len(log))]
+
     def _refresh_views(self) -> None:
-        rows = list(self._tuples)
-        if rows:
-            columns = tuple(zip(*[t.values for t in rows]))
+        changes = (
+            self.changes_since(self._view_version)
+            if self._rows is not None
+            else None
+        )
+        if changes is not None:
+            self._advance_views(changes)
         else:
-            columns = tuple(() for __ in range(self.schema.arity))
-        self._rows = rows
-        self._columns = columns
+            self._drop_views()  # before the transpose: one view at a time
+            rows = list(self._tuples)
+            if rows:
+                columns = tuple(zip(*[t.values for t in rows]))
+            else:
+                columns = tuple(() for __ in range(self.schema.arity))
+            self._rows = rows
+            self._columns = columns
         self._view_version = self.version
+
+    def _advance_views(self, changes: list[Change]) -> None:
+        """Carry the views across *changes*: slice deleted rows out, append
+        inserted ones — C-speed copies, no per-row Python transpose."""
+        rows = self._rows
+        stored = self._tuples
+        # The sequence each view row had when the view was taken: a row
+        # the log touched shows it in its first (delete) entry, every
+        # other row still has it. The rows are sorted by it.
+        view_seq: dict[Tuple, int] = {}
+        gone: list[int] = []
+        appended: dict[int, Tuple] = {}
+        for t, seq, inserted in changes:
+            if inserted:
+                appended[seq] = t
+            elif appended.pop(seq, None) is None:
+                view_seq.setdefault(t, seq)
+                gone.append(seq)
+
+        def seq_in_view(row: Tuple) -> int:
+            seq = view_seq.get(row)
+            return stored[row] if seq is None else seq
+
+        kept: list[tuple[int, int]] = []
+        start = 0
+        drops = sorted(bisect_left(rows, seq, key=seq_in_view) for seq in gone)
+        for stop in drops:
+            if stop > start:
+                kept.append((start, stop))
+            start = stop + 1
+        kept.append((start, len(rows)))
+        added = list(appended.values())
+
+        def splice(old, extra):
+            if len(kept) == 1:
+                (a, b), = kept
+                return old[a:b] + extra
+            out: list = []
+            for a, b in kept:
+                out += old[a:b]
+            out += extra
+            return out
+
+        self._rows = splice(rows, added)
+        self._columns = tuple(
+            tuple(splice(column, tuple(t.values[p] for t in added)))
+            for p, column in enumerate(self._columns)
+        )
 
     def rows(self) -> list[Tuple]:
         """The tuples as a cached insertion-ordered list (do not mutate).
 
-        Rebuilt lazily when :attr:`version` moved since the last call.
+        Carried forward lazily when :attr:`version` moved since the last
+        call (see :meth:`columns`).
         """
         if self._view_version != self.version:
             self._refresh_views()
@@ -226,27 +369,89 @@ class RelationInstance:
         """Columnar view: one value tuple per attribute, in tuple-insertion
         order (``columns()[schema.positions[A]][i]`` is ``rows()[i][A]``).
 
-        Materialized lazily and memoized against :attr:`version`, so
-        every scan unit of one plan execution shares one transpose; any
-        ``add``/``discard``/``replace_value`` invalidates it.
+        Memoized against :attr:`version` and kept between calls. When the
+        version moved by a logged delta, the next call derives the view
+        from the previous one by slicing and appending; a first call, a
+        ``replace_value`` or a delta longer than the log transposes the
+        whole relation.
         """
         if self._view_version != self.version:
             self._refresh_views()
         return self._columns
 
     def release_views(self) -> None:
-        """Drop the memoized columnar views (they rebuild lazily on demand).
+        """Drop the columnar views (the next call transposes afresh).
 
-        The detection engine treats the views as scan-lifetime artifacts —
-        within one plan execution every scan unit shares them, but across
-        executions either the version moved (stale) or the engine's hit
-        caches answer without scanning — so it releases them when a plan
-        finishes rather than leaving an O(tuples · arity) transpose parked
-        on a long-lived database.
+        For callers that are done scanning a relation for good; the
+        detection engine keeps the views, because after a small write
+        patching them is far cheaper than a new transpose. (A view the
+        log can no longer carry forward is dropped by the mutation that
+        outran it.)
         """
+        self._drop_views()
+        self._view_version = -1
+
+    def _drop_views(self) -> None:
         self._columns = None
         self._rows = None
-        self._view_version = -1
+
+    def matching(
+        self, positions: tuple[int, ...], keys: set[tuple[Any, ...]]
+    ) -> dict[tuple[Any, ...], list[Tuple]]:
+        """The stored tuples whose projection on *positions* is in *keys*,
+        grouped per key, each group in insertion order.
+
+        A C-speed search of the first position's column in the kept
+        columnar view, then a per-candidate check of the other positions;
+        no hash index is built or kept. A view that lags behind by a short
+        logged delta is searched as it is and corrected from the log, so
+        a small write never pays for carrying the view forward here.
+        """
+        changes = self._lagging_view()
+        rows = self._rows
+        stored = self._tuples
+        out: dict[tuple[Any, ...], list[Tuple]] = {}
+        if not positions:
+            if () in keys and stored:
+                out[()] = list(stored)
+            return out
+        project = _projector(positions)
+        # Logged tuples of the wanted keys: their view rows (if any) are
+        # stale, and the log says where they are now.
+        moved = {t: None for t, __, __ in changes if project(t.values) in keys}
+        column = self._columns[positions[0]]
+        if len(keys) == 1:
+            (head,) = {key[0] for key in keys}
+            candidates = _positions_of(column, head)
+        else:
+            heads = {key[0] for key in keys}
+            candidates = compress(
+                range(len(rows)), map(heads.__contains__, column)
+            )
+        for i in candidates:
+            t = rows[i]
+            if moved and t in moved:
+                continue
+            key = project(t.values)
+            if key in keys:
+                out.setdefault(key, []).append(t)
+        for t, seq, inserted in changes:
+            if inserted and t in moved and stored.get(t) == seq:
+                out.setdefault(project(t.values), []).append(t)
+        return out
+
+    def _lagging_view(self) -> list[Change]:
+        """Ensure a view is kept; return the logged mutations it lags
+        behind (empty when current). A view more than half a log behind
+        is carried forward first, so it never falls off the log."""
+        if self._view_version == self.version:
+            return []
+        if self._rows is not None:
+            changes = self.changes_since(self._view_version)
+            if changes is not None and 2 * len(changes) <= MUTATION_LOG_SIZE:
+                return changes
+        self._refresh_views()
+        return []
 
     def index_on(self, attributes: Sequence[str]) -> dict[tuple[Any, ...], dict[Tuple, None]]:
         """Hash index mapping projections on *attributes* to tuple buckets.
@@ -296,11 +501,16 @@ class RelationInstance:
         for t in affected:
             del self._tuples[t]
         self.version += 1
+        # A wholesale rewrite is not a logged delta: consumers rebuild.
+        self._log.clear()
+        self._drop_views()
         self._indexes.clear()
         rewritten = []
         for t in affected:
             replacement = t.substitute(mapping)
-            self._tuples[replacement] = None
+            if replacement not in self._tuples:
+                self._tuples[replacement] = self._next_seq
+                self._next_seq += 1
             rewritten.append(replacement)
         return rewritten
 
@@ -324,7 +534,16 @@ class RelationInstance:
                     )
 
     def copy(self) -> "RelationInstance":
-        return RelationInstance(self.schema, self._tuples)
+        """An independent instance with the same tuples in the same order.
+
+        The tuple map is copied wholesale, so the copy shares the
+        original's insertion-sequence ``int`` objects instead of
+        allocating its own; it starts at version 0 with an empty log.
+        """
+        out = RelationInstance(self.schema)
+        out._tuples = dict(self._tuples)
+        out._next_seq = self._next_seq
+        return out
 
     def __repr__(self) -> str:
         return f"<RelationInstance {self.schema.name}: {len(self)} tuples>"
@@ -411,10 +630,9 @@ class DatabaseInstance:
 
     def copy(self) -> "DatabaseInstance":
         out = DatabaseInstance(self.schema)
-        for name, inst in self._relations.items():
-            target = out[name]
-            for t in inst:
-                target.add(t)
+        out._relations = {
+            name: inst.copy() for name, inst in self._relations.items()
+        }
         return out
 
     def validate_domains(self) -> None:

@@ -30,14 +30,17 @@ The pieces:
 
 Every commit's delta is a :func:`diff_records` of two full reports, and
 a :class:`DeltaSource` decides where the new report comes from: tenants
-on the ``memory``/``incremental`` backends re-check their own session
-(the versioned scan cache re-scans only the relations the batch touched,
-plus the CIND scans that depend on them); tenants on the other backends
-(``naive``/``sql``/``sqlfile``) mirror each batch into an in-memory
-**shadow incremental session** and re-check that, so the delta never
-pays the primary backend's check (per-constraint loops, sqlite scans).
-Either way a commit costs a partial re-scan plus a diff of the whole
-report — O(touched relations + report size), not O(touched groups).
+on the ``memory``/``incremental`` backends re-check their own session;
+tenants on the other backends (``naive``/``sql``/``sqlfile``) mirror
+each batch into an in-memory **shadow memory session** and re-check
+that, so the delta never pays the primary backend's check
+(per-constraint loops, sqlite scans). Either way the re-check patches
+the versioned scan cache from the batch's logged delta: one column
+search per touched scan unit plus work proportional to the delta, and a
+re-scan only of the units a patch cannot cover (batches longer than the
+relation's mutation log, ``replace_value``, empty-``X`` witness flips).
+A commit then pays report assembly and the diff of the whole report —
+O(touched scan units · one column + report size), not O(touched groups).
 """
 
 from __future__ import annotations
@@ -192,8 +195,8 @@ class SessionDeltaSource(DeltaSource):
 
     The batch is already applied by the time ``commit`` runs, so this is
     just a re-check. Both backends keep a versioned scan cache, so it
-    replays memoized scans for untouched relations and re-scans the
-    touched ones.
+    replays memoized scans for untouched relations and patches the
+    touched ones from the batch's delta.
     """
 
     def __init__(self, session: Session):
@@ -209,20 +212,20 @@ class SessionDeltaSource(DeltaSource):
 
 
 class ShadowDeltaSource(DeltaSource):
-    """Deltas from a shadow incremental session mirroring the tenant.
+    """Deltas from a shadow memory session mirroring the tenant.
 
     For backends whose ``check()`` is a full re-scan (``naive``/``sql``)
     or an out-of-core pass (``sqlfile``), the service seeds an in-memory
-    incremental session with the same data at tenant creation and
-    mirrors every batch into it. Each commit then applies the batch to
-    the shadow and runs a full shadow ``check()`` — its versioned scan
-    cache re-scans only the touched relations — whose records the feed
-    diffs against the previous report. The cost is independent of the
-    primary backend but not of the database: a commit pays the re-scan
-    of every touched relation and a diff of the whole report. (For
-    ``sqlfile`` tenants the shadow also holds the whole file in memory.)
-    The conformance gate holds the shadow's records bit-identical to
-    the primary's cold check.
+    ``memory`` session with the same data at tenant creation and mirrors
+    every batch into it. Each commit then applies the batch to the
+    shadow and runs a shadow ``check()`` — its versioned scan cache
+    patches the touched scan units from the batch's delta — whose
+    records the feed diffs against the previous report. The cost is
+    independent of the primary backend: a commit pays the patch, report
+    assembly and a diff of the whole report. (For ``sqlfile`` tenants
+    the shadow also holds the whole file in memory.) The conformance
+    gate holds the shadow's records bit-identical to the primary's cold
+    check.
     """
 
     def __init__(self, shadow: Session):

@@ -25,10 +25,10 @@ being *scheduled*. Per tenant:
 
 Delta sources are chosen by backend at tenant creation: ``memory`` and
 ``incremental`` tenants re-check their own (versioned-cache) session;
-``naive``/``sql``/``sqlfile`` tenants get a **shadow incremental
-session** seeded with the same data, mirroring every batch — a delta
-never pays the primary backend's check cost (see
-:mod:`repro.serve.feed` for what it does cost).
+``naive``/``sql``/``sqlfile`` tenants get a **shadow memory session**
+seeded with the same data, mirroring every batch — a delta never pays
+the primary backend's check cost (see :mod:`repro.serve.feed` for what
+it does cost).
 
 Parallel tenants (``workers > 1`` in the tenant's options) compose with
 the session's worker pool: the service's thread executor submits
@@ -185,14 +185,17 @@ class DetectionService:
             return SessionDeltaSource(session)
         if isinstance(db, (str, Path)):
             # sqlfile: snapshot the file into an in-memory instance (rowid
-            # order preserves report order) and keep it live incrementally.
+            # order preserves report order) and keep it live in memory.
             from repro.sql.loader import read_database_file
 
             shadow_db = read_database_file(db, sigma.schema)
         else:
             shadow_db = db.copy()
+        # The shadow only applies batches and checks: a memory session's
+        # patched re-check is all it needs (an incremental checker's
+        # per-group counters would be built and never read).
         shadow = connect(
-            shadow_db, sigma, backend="incremental", options=ExecutionOptions()
+            shadow_db, sigma, backend="memory", options=ExecutionOptions()
         )
         return ShadowDeltaSource(shadow)
 

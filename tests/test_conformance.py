@@ -59,6 +59,39 @@ class TestIncrementalContract(BackendContract):
         return _simple_factory("incremental")
 
 
+def _patched_factory(name, **options):
+    """Sessions whose every check after connect runs the scan-cache patch
+    path: the factory warms the cache, then inserts and deletes one
+    throwaway row per relation (two logged writes that leave the data
+    and its order unchanged), so the contract's first check — and every
+    check after a mutation test's write — patches instead of re-scanning."""
+
+    def factory(db, sigma):
+        session = api.connect(db, sigma, backend=name, **options)
+        session.check()
+        rows = [
+            (relation.name, ("patch",) * relation.arity)
+            for relation in sigma.schema
+        ]
+        session.apply(inserts=rows)
+        session.apply(deletes=rows)
+        return session
+
+    return factory
+
+
+class TestPatchedMemoryContract(BackendContract):
+    @pytest.fixture
+    def make_session(self):
+        return _patched_factory("memory")
+
+
+class TestPatchedIncrementalContract(BackendContract):
+    @pytest.fixture
+    def make_session(self):
+        return _patched_factory("incremental")
+
+
 class TestParallelMemoryContract(BackendContract):
     """The memory backend on its session fork pool with automatic shard
     sizing: the fixture relations sit far under ``MIN_SHARD_ROWS``, so
@@ -223,8 +256,8 @@ class TestMemoryServiceContract(ServiceContract):
 
 
 class TestNaiveServiceContract(ServiceContract):
-    """The oracle behind the service: deltas come from a shadow
-    incremental session, never from diffing naive re-checks."""
+    """The oracle behind the service: deltas come from a shadow memory
+    session, never from diffing naive re-checks."""
 
     @pytest.fixture
     def make_tenant(self):

@@ -327,3 +327,275 @@ def test_cache_consistent_under_replace_value(n_accounts, seed, ops):
             assert summary.by_constraint() == oracle.by_constraint()
         else:
             assert session.is_clean() == check_database_naive(db, sigma).is_clean
+
+
+# -- the patch path: small writes patch cached entries ------------------------
+
+
+def _patch_sigma():
+    """Σ_bank plus constraints shaped for the patch path: multi-member CFD
+    groups (branch-keyed), a pattern-constant CFD, and CINDs with an
+    empty embedded key whose witness flips with one ``interest`` row."""
+    from repro.core.cfd import CFD
+    from repro.core.cind import CIND
+    from repro.relational.values import WILDCARD as _
+
+    sigma = bank_constraints()
+    schema = sigma.schema
+    saving = schema.relation("saving")
+    checking = schema.relation("checking")
+    interest = schema.relation("interest")
+    sigma.add_cfd(CFD(saving, ("ab",), ("cp",), [((_,), (_,))], name="grp"))
+    sigma.add_cfd(CFD(
+        checking, ("ab",), ("cn",), [(("NYC",), (_,)), ((_,), ("a",))],
+        name="grp_const",
+    ))
+    for relation, account_type in ((saving, "saving"), (checking, "checking")):
+        sigma.add_cind(CIND(
+            relation, (), ("ab",), interest, (), ("ab", "at"),
+            [(("NYC",), ("NYC", account_type))],
+            name=f"empty_x_{account_type}",
+        ))
+    return sigma
+
+
+#: (kind, seed) steps of the patch-path property test.
+PATCH_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "delete", "delete_first", "reinsert", "insert", "batch",
+            "big_batch", "replace",
+        ]),
+        st.integers(min_value=0, max_value=10 ** 9),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _fresh_answers(db, sigma):
+    with api.connect(db.copy(), sigma) as fresh:
+        return report_key(fresh.check()), fresh.count(), fresh.is_clean()
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    n_accounts=st.integers(min_value=4, max_value=14),
+    seed=st.integers(min_value=0, max_value=10_000),
+    steps=PATCH_STEPS,
+)
+def test_patched_sessions_match_fresh_sessions(n_accounts, seed, steps):
+    """Long-lived memory, incremental and ``workers=2`` sessions answer
+    exactly like a fresh session after every write — reports compared
+    order-sensitively — whether the write was patched into the scan
+    cache or forced a re-scan (``replace_value``, batches longer than
+    the mutation log)."""
+    from repro.api.parallel import fork_available
+    from repro.relational.instance import MUTATION_LOG_SIZE
+
+    sigma = _patch_sigma()
+    reference = scaled_bank_instance(n_accounts, error_rate=0.2, seed=seed)
+    configs = {"memory": {}, "incremental": {"backend": "incremental"}}
+    if fork_available():
+        configs["workers=2"] = {"workers": 2}
+    sessions = {
+        name: api.connect(reference.copy(), sigma, **options)
+        for name, options in configs.items()
+    }
+    deleted: list[tuple[str, Tuple]] = []
+    names = list(reference.schema.relation_names)
+    try:
+        for session in sessions.values():
+            session.check()
+        for kind, step_seed in steps:
+            relation = names[step_seed % len(names)]
+            instance = reference[relation]
+            inserts, deletes = [], []
+            if kind in ("delete", "delete_first") and len(instance):
+                # delete_first takes a group's first member; deleting an
+                # interest row or a saving row drops a witness key's last
+                # supporter.
+                index = 0 if kind == "delete_first" else step_seed % len(instance)
+                victim = instance.tuples[index]
+                deletes.append((relation, victim.values))
+                deleted.append((relation, victim))
+            elif kind == "reinsert" and deleted:
+                relation, victim = deleted.pop()
+                inserts.append((relation, victim.values))
+            elif kind == "insert":
+                inserts.append(
+                    (relation, _random_row(instance.schema, step_seed))
+                )
+            elif kind == "batch":
+                tuples = instance.tuples
+                deletes += [
+                    (relation, t.values) for t in tuples[step_seed % 3::4]
+                ]
+                inserts += [
+                    (relation, _random_row(instance.schema, step_seed + i))
+                    for i in range(3)
+                ]
+                inserts += deletes[:1]  # a delete + re-insert in one batch
+            elif kind == "big_batch":
+                inserts += [
+                    (relation, _random_row(instance.schema, step_seed + i)
+                     | {instance.schema.attribute_names[0]: f"bulk{i}"})
+                    for i in range(MUTATION_LOG_SIZE + 2)
+                ]
+            elif kind == "replace":
+                values = sorted({v for t in instance for v in t.values})
+                if len(values) >= 2:
+                    old = values[step_seed % len(values)]
+                    new = values[(step_seed // 7) % len(values)]
+                    instance.replace_value(old, new)
+                    # The incremental checker does not model replace_value.
+                    incremental = sessions.pop("incremental", None)
+                    if incremental is not None:
+                        incremental.close()
+                    for session in sessions.values():
+                        session.db[relation].replace_value(old, new)
+            if inserts or deletes:
+                for rel, row in deletes:
+                    reference[rel].discard(Tuple(reference[rel].schema, row))
+                for rel, row in inserts:
+                    reference[rel].add(row)
+                for session in sessions.values():
+                    session.apply(inserts=inserts, deletes=deletes)
+            key, summary, clean = _fresh_answers(reference, sigma)
+            for name, session in sessions.items():
+                assert report_key(session.check()) == key, name
+                got = session.count()
+                assert got.by_constraint() == summary.by_constraint(), name
+                assert got.total == summary.total, name
+                assert session.is_clean() == clean, name
+    finally:
+        for session in sessions.values():
+            session.close()
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(data=st.data())
+def test_patched_session_matches_fresh_on_random_constraint_sets(data):
+    """Random schemas and Σ (multi-row tableaux, empty LHS/X, self-CINDs)
+    under random single-row and batch writes: a long-lived session's
+    patched answers equal a fresh session's, order included."""
+    from repro.core.violations import ConstraintSet
+
+    from tests.strategies import cfds as cfd_strategy
+    from tests.strategies import cinds as cind_strategy
+    from tests.strategies import database_schemas, instances
+
+    schema = data.draw(database_schemas(max_relations=2))
+    relations = list(schema)
+    sigma = ConstraintSet(schema)
+    for __ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        sigma.add_cfd(data.draw(cfd_strategy(data.draw(st.sampled_from(relations)))))
+    for __ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        lhs = data.draw(st.sampled_from(relations))
+        rhs = data.draw(st.sampled_from(relations))
+        sigma.add_cind(data.draw(cind_strategy(lhs, rhs)))
+    db = data.draw(instances(schema, max_tuples=10))
+    pool = data.draw(instances(schema, max_tuples=8))
+    reference = db.copy()
+    session = api.connect(db, sigma)
+    session.check()
+    steps = data.draw(st.lists(
+        st.tuples(st.booleans(), st.integers(0, 10 ** 6), st.integers(1, 3)),
+        min_size=1, max_size=8,
+    ))
+    for insert, pick, size in steps:
+        ops = []
+        for k in range(size):
+            relation = relations[(pick + k) % len(relations)].name
+            source = pool if insert else reference
+            tuples = source[relation].tuples
+            if tuples:
+                ops.append((relation, tuples[(pick + k) % len(tuples)]))
+        batch = {"inserts" if insert else "deletes": ops}
+        session.apply(**batch)
+        for relation, t in ops:
+            if insert:
+                reference[relation].add(t)
+            else:
+                reference[relation].discard(t)
+        key, summary, clean = _fresh_answers(reference, sigma)
+        assert report_key(session.check()) == key
+        assert session.count().by_constraint() == summary.by_constraint()
+        assert session.is_clean() == clean
+    session.close()
+
+
+class TestPatchPath:
+    """Unit behaviour of patched lookups and their counter."""
+
+    def test_one_row_write_patches_instead_of_missing(self):
+        db = scaled_bank_instance(40, error_rate=0.2, seed=5)
+        sigma = _patch_sigma()
+        session = api.connect(db, sigma)
+        session.check()
+        cache = session.backend.cache
+        misses, hits = cache.misses, cache.hits
+        t = db["saving"].tuples[0]
+        session.apply(deletes=[("saving", t)])
+        session.check()
+        session.apply(inserts=[("saving", t)])
+        report = session.check()
+        assert cache.misses == misses  # no scan unit re-scanned
+        assert cache.patches > 0
+        assert cache.hits > hits  # units over untouched relations
+        assert report_key(report) == _fresh_answers(db, sigma)[0]
+        assert f"{cache.patches} patch(es)" in repr(cache)
+
+    def test_replace_value_forces_a_rescan(self):
+        db = scaled_bank_instance(20, error_rate=0.2, seed=5)
+        sigma = _patch_sigma()
+        session = api.connect(db, sigma)
+        session.check()
+        cache = session.backend.cache
+        misses = cache.misses
+        db["saving"].replace_value("NYC", "EDI")
+        assert report_key(session.check()) == _fresh_answers(db, sigma)[0]
+        assert cache.misses > misses
+
+    def test_delta_longer_than_the_log_forces_a_rescan(self):
+        from repro.relational.instance import MUTATION_LOG_SIZE
+
+        db = scaled_bank_instance(20, error_rate=0.2, seed=5)
+        session = api.connect(db, bank_constraints())
+        session.check()
+        cache = session.backend.cache
+        patches, misses = cache.patches, cache.misses
+        session.apply(inserts=[
+            ("interest", ("b%d" % i, "UK", "saving", "1%"))
+            for i in range(MUTATION_LOG_SIZE + 1)
+        ])
+        assert report_key(session.check()) == _fresh_answers(
+            db, bank_constraints()
+        )[0]
+        assert cache.misses > misses
+        assert cache.patches == patches
+
+    def test_views_follow_writes_without_a_transpose(self):
+        inst = RelationInstance(
+            RelationSchema("R", ["A", "B"]),
+            [("1", "x"), ("2", "y"), ("3", "x")],
+        )
+        before = inst.columns()
+        inst.discard(Tuple(inst.schema, ("1", "x")))
+        inst.add(("1", "x"))
+        assert inst.changes_since(inst.version - 2) is not None
+        assert inst.columns() == (("2", "3", "1"), ("y", "x", "x"))
+        assert inst.rows() == list(inst.tuples)
+        assert before == (("1", "2", "3"), ("x", "y", "x"))  # not mutated
+        assert inst.seq_of(inst.rows()[-1]) > inst.seq_of(inst.rows()[0])
+        assert inst.matching((1,), {("x",)}) == {
+            ("x",): [Tuple(inst.schema, ("3", "x")), Tuple(inst.schema, ("1", "x"))]
+        }

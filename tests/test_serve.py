@@ -539,6 +539,27 @@ class TestBatchInvalidation:
         }
         session.close()
 
+    @pytest.mark.parametrize("backend", ["memory", "incremental", "naive", "sql"])
+    @pytest.mark.parametrize(
+        "bad_insert",
+        [("nosuch", ("a", "b")), ("interest", ("too", "short")),
+         ("interest", [["unhashable"], "UK", "saving", "1%"])],
+    )
+    def test_rejected_batch_applies_nothing(self, bank, backend, bad_insert):
+        """A bad op anywhere in a batch rejects the whole batch before the
+        first mutation: the delete ahead of it is not applied."""
+        session = api.connect(bank.db.copy(), bank.constraints, backend=backend)
+        before = session.check()
+        t = next(iter(session.db["saving"]))
+        size = len(session.db["saving"])
+        with pytest.raises((ReproError, TypeError)):
+            session.apply(deletes=[("saving", t)], inserts=[bad_insert])
+        assert len(session.db["saving"]) == size
+        from tests.conformance import assert_reports_bit_identical
+
+        assert_reports_bit_identical(session.check(), before)
+        session.close()
+
 
 # -- Session close path ------------------------------------------------------
 
@@ -773,6 +794,48 @@ class TestProtocol:
         assert envelope["kind"] == "InternalError"
         assert "UnicodeDecodeError" in envelope["error"]
         assert total == 2
+
+    @pytest.mark.parametrize("backend", ["memory", "incremental"])
+    def test_rejected_batch_keeps_feed_in_step(self, bank, bank_rows, backend):
+        """A batch rejected part-way (a valid delete, then an insert into
+        an unknown relation) changes neither the tenant nor its feed: the
+        seq and the report stay put, the feed's records still equal a
+        check, and the connection answers the next request."""
+
+        async def scenario():
+            server = await self._server(bank).start()
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=2**20
+            )
+            try:
+                await _rpc(reader, writer, {
+                    "op": "create", "tenant": "w", "rows": bank_rows,
+                    "backend": backend,
+                })
+                before = await _rpc(reader, writer, {"op": "check", "tenant": "w"})
+                feed = server.service.registry.get("w").feed
+                seq = feed.seq
+                rejected = await _rpc(reader, writer, {
+                    "op": "apply", "tenant": "w",
+                    "deletes": [["saving", bank_rows["saving"][0]]],
+                    "inserts": [["nosuch", ["x"]]],
+                })
+                after = await _rpc(reader, writer, {"op": "check", "tenant": "w"})
+                ping = await _rpc(reader, writer, {"op": "ping"})
+                records = json.loads(json.dumps(feed.current))
+                return rejected, before, after, ping, feed.seq - seq, records
+            finally:
+                writer.close()
+                await server.stop()
+
+        rejected, before, after, ping, moved, records = run(scenario())
+        assert rejected["ok"] is False
+        assert rejected["kind"] == "SchemaError"
+        assert after == before
+        assert moved == 0
+        assert records == after["result"]["records"]
+        assert ping == {"ok": True, "result": "pong"}
 
     def test_oversized_line_answers_request_too_large(self, bank, bank_rows):
         from repro.serve.protocol import MAX_REQUEST_BYTES
