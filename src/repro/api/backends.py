@@ -76,7 +76,7 @@ from repro.engine import (
     plan_detection,
     plan_has_violation,
 )
-from repro.errors import SchemaError, SQLBackendError
+from repro.errors import SQLBackendError
 from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
 from repro.sql.ddl import quote_identifier, row_predicate
 from repro.sql.loader import (
@@ -226,23 +226,17 @@ class BaseBackend:
         the first mutation — an unknown relation or a malformed row
         rejects the whole batch with the database untouched.
 
-        Delete rows become canonical tuples (they must hash/compare like
-        the stored ones); a delete of another relation's tuple stays a
-        set-semantics no-op, an insert of one is an error, as on the
-        single-row paths.
+        Inserts are coerced as ``add`` would coerce them. Delete rows
+        become canonical tuples (they must hash/compare like the stored
+        ones); a delete of another relation's tuple stays a set-semantics
+        no-op, as on the single-row path.
         """
-
-        def coerce(relation: str, row: Any) -> Tuple:
-            schema = self.db[relation].schema
-            return row if isinstance(row, Tuple) else Tuple(schema, row)
-
-        delete_ops = [(rel, coerce(rel, row)) for rel, row in deletes]
-        insert_ops = [(rel, coerce(rel, row)) for rel, row in inserts]
-        for relation, t in insert_ops:
-            if t.schema.name != relation:
-                raise SchemaError(
-                    f"tuple of {t.schema.name!r} inserted into {relation!r}"
-                )
+        db = self.db
+        delete_ops = [
+            (rel, row if isinstance(row, Tuple) else Tuple(db[rel].schema, row))
+            for rel, row in deletes
+        ]
+        insert_ops = [(rel, db[rel].coerce(row)) for rel, row in inserts]
         return insert_ops, delete_ops
 
     def apply(

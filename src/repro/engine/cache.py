@@ -35,8 +35,9 @@ re-evaluates the touched CFD group keys from their current members,
 adds and drops witness keys (re-checking support on delete), and
 re-tests the CIND LHS tuples that were written or whose witness key
 flipped, placing every hit in scan order by insertion sequence. A patch
-costs one C-speed pass over a column per touched scan unit plus work
-proportional to the delta and the unit's hit list. A ``replace_value``,
+costs one C-speed search of a column per touched scan unit plus work
+proportional to the delta, the groups it reads and the unit's hit list.
+A ``replace_value``,
 a gap longer than the log, an empty-``X`` witness flip or a delta that
 re-tests more than :data:`MAX_PATCH_ROWS` LHS tuples still misses, and
 the caller re-scans.
@@ -73,10 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor <-> cache)
 #: (a witness key shared by a large part of the relation flipped) is
 #: cheaper to answer with a columnar re-scan.
 MAX_PATCH_ROWS = 4096
-
-#: Up to this many new CIND hits are placed by binary insertion into the
-#: kept hit list; more are appended and the list is re-sorted once.
-_INSORT_LIMIT = 32
 
 
 def projection_column_keys(
@@ -124,12 +121,8 @@ class ScanCache:
         self.db: "DatabaseInstance | None" = None
         #: (relation, positions) -> (version, key list)
         self._projections: dict[tuple[str, tuple[int, ...]], tuple[int, list]] = {}
-        #: (relation, X positions) -> (version, [(task, key, kind), ...],
-        #: hit key -> insertion sequence of its group's first member, or
-        #: None until a patch first needs it)
-        self._cfd: dict[
-            tuple[str, tuple[int, ...]], tuple[int, list, dict | None]
-        ] = {}
+        #: (relation, X positions) -> (version, [(task, key, kind), ...])
+        self._cfd: dict[tuple[str, tuple[int, ...]], tuple[int, list]] = {}
         #: spec -> (version, witness key set)
         self._witness: dict["WitnessSpec", tuple[int, set]] = {}
         #: LHS relation -> (version, witness-version vector, [(task, tuple), ...])
@@ -202,42 +195,38 @@ class ScanCache:
                 return entry[1]
             logged = self._logged(group.relation, entry[0])
             if logged is not None:
-                hits, first_seq = self._patch_cfd(group, entry, *logged)
-                self._cfd[unit] = (version, hits, first_seq)
+                hits = self._patch_cfd(group, entry[1], *logged)
+                self._cfd[unit] = (version, hits)
                 self.patches += 1
                 return hits
         self.misses += 1
         return None
 
     def store_cfd_hits(self, group: "CFDScanGroup", version: int, hits: list) -> None:
-        self._cfd[(group.relation, group.lhs_positions)] = (version, hits, None)
+        self._cfd[(group.relation, group.lhs_positions)] = (version, hits)
 
     def _patch_cfd(
         self,
         group: "CFDScanGroup",
-        entry: tuple,
+        hits: list,
         instance: "RelationInstance",
         changes: "list[Change]",
-    ) -> tuple[list, dict]:
+    ) -> list:
         """Re-evaluate the group keys *changes* touched, from their current
         members, and merge them into the hit list in scan order."""
         from repro.engine.shards import CFDGroupState, cfd_finalize
 
-        __, hits, first_seq = entry
         positions = group.lhs_positions
         touched = {
             tuple(t.values[p] for p in positions) for t, __, __ in changes
         }
-        wanted = set(touched)
-        if first_seq is None:
-            first_seq = {}
-            wanted.update(key for __, key, __ in hits)
-        members = instance.matching(positions, wanted)
+        # One column search finds the touched groups and the first members
+        # of the kept hits' groups, which fix their places in scan order.
+        members = instance.matching(
+            positions, touched.union(hit[1] for hit in hits)
+        )
         seq_of = instance.seq_of
-        for key in wanted:
-            group_rows = members.get(key)
-            if group_rows:
-                first_seq[key] = seq_of(group_rows[0])
+        first_seq = {key: seq_of(rows[0]) for key, rows in members.items()}
         # The touched groups' partial state, keys in first-occurrence
         # order, finalized exactly like a scan of the whole relation.
         live = sorted(
@@ -260,7 +249,7 @@ class ScanCache:
         patched += cfd_finalize(group, CFDGroupState(variants))
         order = self._order(group.tasks)
         patched.sort(key=lambda hit: (order[id(hit[0])], first_seq[hit[1]]))
-        return patched, {key: first_seq[key] for __, key, __ in patched}
+        return patched
 
     # -- CIND witness sets -------------------------------------------------
 
@@ -417,12 +406,8 @@ class ScanCache:
         def rank(hit: tuple) -> tuple[int, int]:
             return order[id(hit[0])], seq_of(hit[1])
 
-        if len(added) <= _INSORT_LIMIT:
-            for hit in added:
-                insort(kept, hit, key=rank)
-        else:
-            kept += added
-            kept.sort(key=rank)
+        for hit in added:
+            insort(kept, hit, key=rank)
         return kept
 
     def __repr__(self) -> str:

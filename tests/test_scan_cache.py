@@ -583,6 +583,24 @@ class TestPatchPath:
         assert cache.misses > misses
         assert cache.patches == patches
 
+    def test_cind_delta_past_max_patch_rows_forces_a_rescan(self, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MAX_PATCH_ROWS", 1)
+        db = scaled_bank_instance(20, error_rate=0.2, seed=5)
+        sigma = _patch_sigma()
+        session = api.connect(db, sigma)
+        session.check()
+        cache = session.backend.cache
+        patches, misses = cache.patches, cache.misses
+        written = list(db["saving"].tuples[:2])
+        session.apply(deletes=[("saving", t) for t in written])
+        session.apply(inserts=[("saving", t) for t in written])
+        report = session.check()
+        assert cache.misses > misses  # CIND scans re-testing 2+ tuples
+        assert cache.patches > patches  # CFD groups and witness sets
+        assert report_key(report) == _fresh_answers(db, sigma)[0]
+
     def test_views_follow_writes_without_a_transpose(self):
         inst = RelationInstance(
             RelationSchema("R", ["A", "B"]),
