@@ -2,13 +2,13 @@
 
 The paper's pitch is *one* constraint language (CFDs + CINDs) checkable
 uniformly; this package makes the implementation match: one ``connect()``
-call, one report shape, four interchangeable engines, and a parallel
+call, one report shape, five interchangeable engines, and a parallel
 dispatch path that is an internal option rather than a different API.
 
     from repro import api
 
     session = api.connect(db, sigma)                  # shared-scan engine
-    session = api.connect(db, sigma, backend="sql")   # sqlite3 anti-joins
+    session = api.connect(db, sigma, backend="sql")   # plan pushed into sqlite
     session = api.connect(db, sigma, backend="incremental")
     session = api.connect(db, sigma, workers=4)       # parallel scan groups
     session = api.connect("accounts.db", sigma, backend="sqlfile")  # out-of-core

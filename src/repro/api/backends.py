@@ -1,10 +1,6 @@
-"""Detection backends: one protocol, four engines, identical answers.
+"""Detection backends: one protocol, five engines, identical answers.
 
-Before this facade the repo exposed three incompatible checking APIs —
-``check_database`` returned a :class:`ViolationReport`,
-``SQLViolationDetector.check`` a ``dict[label, set[row]]``, and
-``IncrementalChecker`` bare counters — so every caller special-cased its
-engine. Here each engine is an adapter onto one :class:`Backend` shape:
+Every engine is an adapter onto one :class:`Backend` shape:
 
 ``check()``     -> ``ViolationReport``   (identical across backends,
                                           including violation-list order)
@@ -23,10 +19,13 @@ How each backend earns its keep:
 * :class:`NaiveBackend` — the per-constraint reference oracle; slow by
   design, kept as the executable transcription of the paper's
   satisfaction definitions.
-* :class:`SQLBackend` — sqlite3 anti-joins find the violating *rows*; the
-  adapter maps rows back to the canonical in-memory ``Tuple`` objects and
-  replays the engine's violation semantics over just the dirty groups, so
-  its report is tuple-for-tuple comparable with the others.
+* :class:`SQLFileBackend` — out-of-core detection inside an existing
+  sqlite file: the plan's shared scans are pushed down as SQL, answers
+  are memoized in a :class:`~repro.engine.cache.SQLScanCache`, and
+  writes are SQL DML.
+* :class:`SQLBackend` — the ``sqlfile`` backend over a private sqlite
+  image of an in-memory instance, written at connect; each write goes to
+  the image and then to the instance, so both keep the same order.
 * :class:`IncrementalBackend` — owns an
   :class:`~repro.cleaning.incremental.IncrementalChecker`; mutations go
   through :meth:`insert`/:meth:`delete` in time proportional to the touched
@@ -35,15 +34,21 @@ How each backend earns its keep:
 
 from __future__ import annotations
 
+import functools
+import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Iterable,
     Iterator,
     Mapping,
     Protocol,
     Sequence,
+    TypeVar,
+    cast,
     runtime_checkable,
 )
 
@@ -61,7 +66,6 @@ from repro.core.violations import (
     ConstraintSet,
     ViolationReport,
     check_database_naive,
-    constraint_labels,
 )
 from repro.engine import (
     DetectionSummary,
@@ -69,24 +73,23 @@ from repro.engine import (
     SQLScanCache,
     assemble_report,
     assemble_summary,
-    attribute_positions,
-    compile_checks,
     execute_plan,
-    passes,
     plan_detection,
     plan_has_violation,
 )
-from repro.errors import SQLBackendError
-from repro.relational.instance import DatabaseInstance, RelationInstance, Tuple
+from repro.errors import SessionClosedError, SQLBackendError
+from repro.relational.instance import DatabaseInstance, Tuple
 from repro.sql.ddl import quote_identifier, row_predicate
 from repro.sql.loader import (
+    check_round_trip,
     connect_file,
+    create_database_file,
     data_version,
     introspect_schema,
     table_content_fingerprint,
     table_fingerprint,
 )
-from repro.sql.violations import SQLPlanExecutor, SQLViolationDetector
+from repro.sql.violations import SQLPlanExecutor
 from repro.sql.windows import ReadonlyConnectionPool
 
 
@@ -155,8 +158,8 @@ def build_plan(sigma: ConstraintSet, options: ExecutionOptions):
     With ``options.prune_implied`` the static analyzer's safe prune map
     (structural duplicates only) is compiled into the plan: duplicate
     constraints keep their report slots but share their twin's scans.
-    The plan-free backends (naive, sql) never call this — pruning is
-    trivially a no-op for them.
+    The plan-free ``naive`` backend never calls this — pruning is
+    trivially a no-op for it.
     """
     if options.prune_implied:
         from repro.analyze.redundancy import detection_prune_map
@@ -369,223 +372,32 @@ class NaiveBackend(BaseBackend):
         return self.sigma.satisfied_by(self.db)
 
 
-class SQLBackend(BaseBackend):
-    """sqlite3 detection with canonical-tuple output.
+_Method = TypeVar("_Method", bound=Callable[..., Any])
 
-    The SQL queries (tableaux shipped as data tables, anti-joins for
-    CINDs) identify the violating rows; this adapter then rebuilds
-    engine-identical violation objects by replaying the CFD group
-    semantics over *only* the dirty group keys and mapping every SQL row
-    back to its canonical in-memory :class:`Tuple`. Hybrid on purpose: SQL
-    does the data-heavy filtering, Python finalizes the (small) dirty
-    subset.
 
-    Empty-entry semantics: unlike the raw
-    :meth:`~repro.sql.violations.SQLViolationDetector.check` (which omits
-    constraints with zero violations), :meth:`violating_rows` keys *every*
-    constraint of Σ — empty set when clean — matching how
-    ``ViolationReport`` accounts for all of Σ.
-    """
+def _serialized(method: _Method) -> _Method:
+    """Run *method* under the backend's session lock, refusing a closed
+    backend: a waiter that gets the lock after ``close()`` must not touch
+    the closed connection."""
 
-    name = "sql"
-
-    def __init__(self, db, sigma, options=None):
-        super().__init__(db, sigma, options)
-        self._detector: SQLViolationDetector | None = None
-        self._canonical: dict[str, dict[tuple[Any, ...], Tuple]] = {}
-        self._str_image: dict[str, dict[tuple[str, ...], Tuple | None]] = {}
-        self._scan_position: dict[str, dict[Tuple, int]] = {}
-
-    # -- sqlite session management ----------------------------------------
-
-    def _get_detector(self) -> SQLViolationDetector:
-        if self._detector is None:
-            self._detector = SQLViolationDetector(db=self.db)
-        return self._detector
-
-    def _invalidate(self) -> None:
-        # The sqlite image and the row->Tuple maps mirror the data; a
-        # mutation invalidates both (reloaded lazily on the next call).
-        self.close()
-        self._canonical.clear()
-        self._str_image.clear()
-        self._scan_position.clear()
-
-    def close(self) -> None:
-        if self._detector is not None:
-            self._detector.close()
-            self._detector = None
-
-    # -- row -> canonical tuple mapping ------------------------------------
-
-    def _canonical_map(self, relation: str) -> dict[tuple[Any, ...], Tuple]:
-        by_values = self._canonical.get(relation)
-        if by_values is None:
-            by_values = self._canonical[relation] = {
-                t.values: t for t in self.db[relation]
-            }
-        return by_values
-
-    def _canonical_tuple(self, relation: str, row: tuple[Any, ...]) -> Tuple:
-        by_values = self._canonical_map(relation)
-        t = by_values.get(row)
-        if t is not None:
-            return t
-        # sqlite affinity may have round-tripped a value through another
-        # type (e.g. "5" stored in an INTEGER column comes back as 5);
-        # retry on the string image of every value, via a map built once
-        # per relation. Colliding images map to None so an ambiguous
-        # lookup fails loudly instead of picking an arbitrary tuple.
-        images = self._str_image.get(relation)
-        if images is None:
-            images = self._str_image[relation] = {}
-            for values, candidate in by_values.items():
-                image = tuple(map(str, values))
-                images[image] = None if image in images else candidate
-        t = images.get(tuple(map(str, row)))
-        if t is not None:
-            return t
-        raise SQLBackendError(
-            f"SQL row {row!r} has no unambiguous counterpart in relation "
-            f"{relation!r}; the sqlite image is stale, a value did not "
-            "round-trip, or two tuples share its string image"
-        )
-
-    def _positions(self, relation: str) -> dict[Tuple, int]:
-        order = self._scan_position.get(relation)
-        if order is None:
-            order = self._scan_position[relation] = {
-                t: i for i, t in enumerate(self.db[relation])
-            }
-        return order
-
-    # -- detection ---------------------------------------------------------
-
-    def _cfd_violations(self, detector: SQLViolationDetector) -> list[CFDViolation]:
-        out: list[CFDViolation] = []
-        for cfd in self.sigma.cfds:
-            rows = detector.cfd_violating_rows(cfd)
-            if not rows:
-                continue
-            relation = cfd.relation.name
-            instance = self.db[relation]
-            dirty = {
-                self._canonical_tuple(relation, row).project(cfd.lhs)
-                for row in rows
-            }
-            # Candidate keys in scan (first-occurrence) order — the order
-            # the engine's group-by would surface them in.
-            ordered: list[tuple[Any, ...]] = []
-            seen: set[tuple[Any, ...]] = set()
-            for t in instance:
-                key = t.project(cfd.lhs)
-                if key in dirty and key not in seen:
-                    seen.add(key)
-                    ordered.append(key)
-            out.extend(self._replay_cfd(cfd, instance, ordered))
-        return out
-
-    def _replay_cfd(
-        self,
-        cfd,
-        instance: RelationInstance,
-        ordered_keys: list[tuple[Any, ...]],
-    ) -> Iterator[CFDViolation]:
-        """Engine violation semantics over the dirty group keys only."""
-        rhs_positions = attribute_positions(cfd.relation, cfd.rhs)
-        groups = {
-            key: tuple(instance.lookup(cfd.lhs, key)) for key in ordered_keys
-        }
-        rhs_sets = {
-            key: {
-                tuple(t.values[i] for i in rhs_positions) for t in group
-            }
-            for key, group in groups.items()
-        }
-        for row_index, row in enumerate(cfd.tableau):
-            key_checks = compile_checks(
-                row.lhs_projection(cfd.lhs), range(len(cfd.lhs))
-            )
-            rhs_checks = compile_checks(
-                row.rhs_projection(cfd.rhs), range(len(cfd.rhs))
-            )
-            for key in ordered_keys:
-                if not passes(key, key_checks):
-                    continue
-                rhs_values = rhs_sets[key]
-                disagree = len(rhs_values) > 1
-                if not disagree:
-                    if not rhs_checks or all(
-                        passes(vals, rhs_checks) for vals in rhs_values
-                    ):
-                        continue
-                yield CFDViolation(
-                    cfd=cfd,
-                    pattern_index=row_index,
-                    lhs_values=key,
-                    tuples=groups[key],
-                    kind="pair" if disagree else "single",
+    @functools.wraps(method)
+    def locked(self: "SQLFileBackend", *args: Any, **kwargs: Any) -> Any:
+        with self._lock:
+            if self._closed:
+                raise SessionClosedError(
+                    f"{self.name} session on {str(self.path)!r} is closed"
                 )
+            return method(self, *args, **kwargs)
 
-    def _cind_violations(self, detector: SQLViolationDetector) -> list[CINDViolation]:
-        out: list[CINDViolation] = []
-        for cind in self.sigma.cinds:
-            relation = cind.lhs_relation.name
-            for row_index, rows in enumerate(
-                detector.cind_violating_rows_by_pattern(cind)
-            ):
-                if not rows:
-                    continue
-                position = self._positions(relation)
-                tuples = sorted(
-                    (self._canonical_tuple(relation, row) for row in rows),
-                    key=position.__getitem__,
-                )
-                out.extend(
-                    CINDViolation(cind=cind, pattern_index=row_index, tuple_=t)
-                    for t in tuples
-                )
-        return out
-
-    def check(self) -> ViolationReport:
-        detector = self._get_detector()
-        return ViolationReport(
-            self._cfd_violations(detector),
-            self._cind_violations(detector),
-            constraints=self.sigma,
-        )
-
-    def violating_rows(self) -> dict[str, set[tuple[Any, ...]]]:
-        """Raw violating rows per constraint label — every constraint keyed.
-
-        Normalized empty-entry semantics: constraints with no violations
-        map to an empty set instead of being omitted (the raw detector's
-        behaviour), so ``set(backend.violating_rows())`` always equals the
-        label set of Σ and cross-engine comparisons need no special cases.
-        """
-        detector = self._get_detector()
-        labels = constraint_labels(self.sigma)
-        out: dict[str, set[tuple[Any, ...]]] = {
-            labels[id(c)]: set() for c in self.sigma
-        }
-        for cfd in self.sigma.cfds:
-            out[labels[id(cfd)]] |= detector.cfd_violating_rows(cfd)
-        for cind in self.sigma.cinds:
-            out[labels[id(cind)]] |= detector.cind_violating_rows(cind)
-        return out
-
-    def is_clean(self) -> bool:
-        detector = self._get_detector()
-        return detector.is_clean(self.sigma)
+    return cast(_Method, locked)
 
 
 class SQLFileBackend(BaseBackend):
     """Out-of-core detection over an existing sqlite database *file*.
 
-    Where :class:`SQLBackend` serializes an in-memory instance into a fresh
-    ``:memory:`` database, this backend attaches to a file and runs
-    detection where the data lives: the plan's shared scan groups are
-    pushed down as SQL by a :class:`~repro.sql.violations.SQLPlanExecutor`
+    This backend attaches to a file and runs detection where the data
+    lives: the plan's shared scan groups are pushed down as SQL by a
+    :class:`~repro.sql.violations.SQLPlanExecutor`
     (a one-pass prefilter + window-function scan per CFD group when the
     sqlite library supports it — ``options.window_functions`` controls the
     dispatch, with automatic fallback to the legacy GROUP-BY-then-join SQL
@@ -614,6 +426,13 @@ class SQLFileBackend(BaseBackend):
     the merged group-level results land in the cache under exactly the
     serial keys, so a warm re-check is still one PRAGMA.
     ``options.shards`` forces the per-relation window count.
+
+    One session lock serializes ``check``/``count``/``is_clean``, the
+    writes and ``close``: the connection, the executor's witness temp
+    tables and the cache are shared state, so two threads reading one
+    session at once would trip over each other's temp tables ("database
+    table is locked"), and a ``close()`` mid-read would pull the
+    connection out from under a running query.
     """
 
     name = "sqlfile"
@@ -634,6 +453,8 @@ class SQLFileBackend(BaseBackend):
             )
         super().__init__(path, sigma, options)
         self.path = Path(path)
+        self._lock = threading.RLock()
+        self._closed = False
         self.conn = connect_file(self.path, readonly=self.options.readonly)
         try:
             introspect_schema(self.conn, sigma.schema)
@@ -665,7 +486,6 @@ class SQLFileBackend(BaseBackend):
         # cold parallel call.
         self._window_pool: ReadonlyConnectionPool | None = None
         self.effective_executor = "thread" if self.options.parallel else None
-        self._closed = False
 
     @property
     def plan(self):
@@ -796,6 +616,7 @@ class SQLFileBackend(BaseBackend):
 
     # -- detection ---------------------------------------------------------
 
+    @_serialized
     def check(self) -> ViolationReport:
         self._begin()
         self._prefetch_parallel()
@@ -833,6 +654,7 @@ class SQLFileBackend(BaseBackend):
             # answer warm calls before any witness is needed again).
             self._executor.release_witnesses()
 
+    @_serialized
     def count(self) -> DetectionSummary:
         # Count-only: the same cached hit lists, no group-tuple fetches.
         self._begin()
@@ -854,6 +676,7 @@ class SQLFileBackend(BaseBackend):
         finally:
             self._executor.release_witnesses()
 
+    @_serialized
     def is_clean(self) -> bool:
         # Early exit: stop at the first scan unit with a hit. CFD hit
         # lists are computed (and cached) whole — the pushed-down queries
@@ -899,6 +722,7 @@ class SQLFileBackend(BaseBackend):
                 "(ExecutionOptions(readonly=True))"
             )
 
+    @_serialized
     def insert(self, relation, row) -> bool:
         """INSERT into the file (set semantics); False if already present.
 
@@ -932,6 +756,7 @@ class SQLFileBackend(BaseBackend):
         self._touch(relation)
         return True
 
+    @_serialized
     def delete(self, relation, row: Tuple) -> bool:
         """DELETE from the file; False if no such row existed.
 
@@ -949,6 +774,7 @@ class SQLFileBackend(BaseBackend):
         self._touch(relation)
         return True
 
+    @_serialized
     def apply(
         self, inserts: Iterable[DMLOp] = (), deletes: Iterable[DMLOp] = ()
     ) -> ApplyResult:
@@ -1007,7 +833,9 @@ class SQLFileBackend(BaseBackend):
         return ApplyResult(inserted=inserted, deleted=deleted)
 
     def close(self) -> None:
-        if not self._closed:
+        with self._lock:
+            if self._closed:
+                return
             self._closed = True
             if self._window_pool is not None:
                 self._window_pool.close()
@@ -1019,6 +847,77 @@ class SQLFileBackend(BaseBackend):
             f"<SQLFileBackend {str(self.path)!r} |Σ|={len(self.sigma)}"
             f"{' readonly' if self.options.readonly else ''}>"
         )
+
+
+class SQLBackend(SQLFileBackend):
+    """The ``sqlfile`` backend over a private image of an in-memory instance.
+
+    At connect, *db* is written to a sqlite file in a private temporary
+    directory (rowid order = insertion order); detection then runs
+    through the inherited plan pushdown and scan cache. Each write goes to
+    the image in one transaction, then to *db* in the same
+    deletes-then-inserts order, so rowid order keeps matching insertion
+    order and ``session.db`` stays the caller's live instance. Values
+    sqlite's column affinity would convert (a number in a text column)
+    are refused, at connect and on insert. ``workers``, ``readonly`` and
+    ``fingerprint`` apply exactly as on ``sqlfile``; ``close()`` removes
+    the image.
+    """
+
+    name = "sql"
+    accepts_path = False
+
+    def __init__(
+        self,
+        db: DatabaseInstance,
+        sigma: ConstraintSet,
+        options: ExecutionOptions | None = None,
+    ):
+        if not isinstance(db, DatabaseInstance):
+            raise SQLBackendError(
+                "the sql backend runs on an in-memory DatabaseInstance; "
+                "use the sqlfile backend for a database file"
+            )
+        for relation in db.schema:
+            check_round_trip(
+                relation, (t.values for t in db[relation.name])
+            )
+        self._image = tempfile.TemporaryDirectory(prefix="repro-sql-")
+        try:
+            path = create_database_file(
+                Path(self._image.name) / "image.sqlite", db
+            )
+            super().__init__(path, sigma, options)
+        except BaseException:
+            self._image.cleanup()
+            raise
+        self.db = db
+
+    def insert(self, relation: str, row: Any) -> bool:
+        return self.apply(inserts=[(relation, row)]).inserted == 1
+
+    def delete(self, relation: str, row: Any) -> bool:
+        return self.apply(deletes=[(relation, row)]).deleted == 1
+
+    @_serialized
+    def apply(
+        self, inserts: Iterable[DMLOp] = (), deletes: Iterable[DMLOp] = ()
+    ) -> ApplyResult:
+        insert_ops, delete_ops = self._coerce_batch(inserts, deletes)
+        for __, t in insert_ops:
+            check_round_trip(t.schema, (t.values,))
+        result = super().apply(insert_ops, delete_ops)
+        for relation, t in delete_ops:
+            self.db[relation].discard(t)
+        for relation, t in insert_ops:
+            self.db[relation].add(t)
+        return result
+
+    def close(self) -> None:
+        super().close()
+        self._image.cleanup()
+
+    __repr__ = BaseBackend.__repr__
 
 
 class IncrementalBackend(BaseBackend):

@@ -57,7 +57,8 @@ class ExecutionOptions:
         ``sqlfile`` backend parallelizes *inside sqlite*: each scan unit
         splits into contiguous rowid windows run concurrently on the
         session's pool of read-only connections (sqlite releases the GIL
-        inside queries) and the partial states merge bit-identically.
+        inside queries) and the partial states merge bit-identically;
+        so does ``sql``, which is ``sqlfile`` over a private image.
         Other backends ignore the setting;
         ``Session.effective_executor`` names what actually runs.
     shards:
@@ -67,7 +68,7 @@ class ExecutionOptions:
         shard per row). For ``sqlfile`` this is the rowid-window count
         per relation scan.
     window_functions:
-        Whether the ``sqlfile`` backend's CFD detection may use sqlite
+        Whether the ``sqlfile`` (and ``sql``) backend's CFD detection may use sqlite
         window functions (``MIN(rhs) OVER (PARTITION BY X)`` one-pass
         queries): ``"auto"`` (default) probes the sqlite library at
         connect time and falls back to the legacy GROUP-BY-then-join SQL
@@ -76,7 +77,7 @@ class ExecutionOptions:
         :class:`~repro.errors.SQLBackendError` instead of falling back.
         Results are bit-identical either way. Other backends ignore it.
     fingerprint:
-        How the ``sqlfile`` backend fingerprints tables when validating
+        How the ``sqlfile`` (and ``sql``) backend fingerprints tables when validating
         its cache after a foreign commit: ``"rowid"`` (default) compares
         cheap ``(max rowid, COUNT(*))`` pairs — O(1) per table but blind
         to a writer that deletes and re-inserts behind the same rowid
@@ -87,10 +88,10 @@ class ExecutionOptions:
         backends ignore it (their
         mutation counters are exact).
     readonly:
-        Only meaningful for file-backed backends (``sqlfile``): open the
-        database file read-only, so ``insert``/``delete`` fail loudly and
-        the session can never write to a file it is only meant to audit.
-        In-memory backends ignore it.
+        Only meaningful for the sqlite backends (``sqlfile``, and ``sql``
+        on its private image): open the database file read-only, so
+        ``insert``/``delete`` fail loudly and the session can never write
+        to a file it is only meant to audit. In-memory backends ignore it.
     validate:
         Run the fast static-analysis tiers over Σ at connect time
         (consistency kernel, duplicates, chain diagnostics — no
@@ -107,7 +108,7 @@ class ExecutionOptions:
         the kept twin and are bit-identical — including ordering — to an
         unpruned run's; merely *implied* constraints are never pruned
         (their violation lists are their own). No-op on the plan-free
-        ``naive`` and ``sql`` backends.
+        ``naive`` backend.
     """
 
     mode: str = "full"

@@ -24,8 +24,11 @@ mutation-versioned :class:`~repro.engine.cache.ScanCache`, so a second
 ``check()``/``count()``/``is_clean()`` over unchanged data replays
 memoized scan results instead of re-scanning, and after a small
 ``insert``/``delete``/``apply`` the next check patches the entries of the
-touched scan units from the write's delta. Keep one session per
-(db, Σ) workload rather than reconnecting per call.
+touched scan units from the write's delta. The sqlite backends
+(``sqlfile``, and ``sql`` — ``sqlfile`` over a private image written at
+connect) keep a :class:`~repro.engine.cache.SQLScanCache` whose entries a
+write drops for the touched tables only. Keep one session per (db, Σ)
+workload rather than reconnecting per call.
 """
 
 from __future__ import annotations
@@ -126,8 +129,8 @@ class Session:
     def effective_executor(self) -> str | None:
         """The pool parallel dispatch runs on, for honest reporting:
         ``"process"`` for a parallel ``memory`` session (its session-long
-        fork pool), ``"thread"`` for a parallel ``sqlfile`` session (its
-        read-only rowid-window connection pool). ``None`` for serial
+        fork pool), ``"thread"`` for a parallel ``sqlfile`` or ``sql``
+        session (its read-only rowid-window connection pool). ``None`` for serial
         sessions, backends that never parallelize, and ``workers > 1``
         on ``memory`` where the platform has no ``fork`` (the serial
         engine runs there)."""
@@ -195,8 +198,8 @@ class Session:
         Repair works on a copy; the repaired database comes back in the
         ``RepairResult``, the session's own database (or file) is
         untouched. The repair engine opens its own session over the copy:
-        ``backend`` defaults to this session's backend (a file-backed
-        session repairs out-of-core via a staged temporary file) and
+        ``backend`` defaults to this session's backend (a ``sqlfile``
+        session repairs its loaded copy on the ``sql`` backend) and
         ``mode`` defaults to ``"auto"`` — delta-driven worklists wherever
         a full re-check is not already the cheap path. The session's
         ``options.workers`` carries over to the per-round detection

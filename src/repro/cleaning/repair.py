@@ -377,8 +377,9 @@ def repair(
     ``db`` may be a :class:`DatabaseInstance` or the path of a sqlite
     database file; file inputs are loaded (never mutated) and the repair
     runs on the copy. ``backend`` picks the detection/apply engine for
-    the repair session (``sqlfile`` stages the working copy into a
-    temporary database file and repairs it out-of-core). ``mode`` picks
+    the repair session (``sqlfile`` runs on the ``sql`` backend over the
+    copy: a private sqlite image of it, written at connect, takes every
+    batch before the copy does). ``mode`` picks
     the worklist source: ``"full"`` re-checks every round, ``"delta"``
     maintains the violation set incrementally (live checker on the
     ``incremental`` backend, shadow incremental session elsewhere);
@@ -422,24 +423,14 @@ def repair(
         rng=rng,
     )
 
-    tmpdir: Any = None
-    mirror_file = backend == "sqlfile"
-    options = ExecutionOptions(workers=workers)
-    if mirror_file:
-        # Stage the working copy into a temp sqlite file: detection and
-        # DML run out-of-core while `work` stays the planning mirror
-        # (kept in lockstep batch by batch, same deletes-then-inserts
-        # order, so mirror iteration order == file rowid order).
-        import tempfile
-
-        from repro.sql.loader import create_database_file
-
-        tmpdir = tempfile.TemporaryDirectory(prefix="repro-repair-")
-        staged = Path(tmpdir.name) / "repair.sqlite"
-        create_database_file(staged, work)
-        session = connect(staged, sigma, backend=backend, options=options)
-    else:
-        session = connect(work, sigma, backend=backend, options=options)
+    # The sql backend is sqlfile over a private image of `work`: it
+    # applies each batch to the image, then to `work` in the same order.
+    session = connect(
+        work,
+        sigma,
+        backend="sql" if backend == "sqlfile" else backend,
+        options=ExecutionOptions(workers=workers),
+    )
 
     shadow: "Session | None" = None
     source: _ReportSource | _CheckerSource
@@ -496,11 +487,6 @@ def repair(
                 inserts=plan.inserts, deletes=plan.deletes
             )
             apply_s = time.perf_counter() - apply_start
-            if mirror_file:
-                for relation, t in plan.deletes:
-                    work[relation].discard(t)
-                for relation, t in plan.inserts:
-                    work[relation].add(t)
             source.commit(plan)
             edits.extend(plan.edits)
             rounds_executed = round_no
@@ -549,8 +535,6 @@ def repair(
         if isinstance(source_obj, (_ReportSource, _CheckerSource)):
             source_obj.close()
         session.close()
-        if tmpdir is not None:
-            tmpdir.cleanup()
 
 
 __all__ = [

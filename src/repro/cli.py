@@ -300,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(sorted(BACKENDS)),
         default="memory",
         help="memory = shared-scan engine (default); naive = per-constraint "
-        "reference evaluation; sql = sqlite3 backend; sqlfile = out-of-core "
-        "detection inside an existing sqlite file (--data names the file); "
+        "reference evaluation; sql = sqlfile over a private sqlite image; "
+        "sqlfile = out-of-core detection inside an existing sqlite file "
+        "(--data names the file); "
         "incremental = live checker (bulk-built here). All engines print "
         "the same report.",
     )

@@ -214,8 +214,8 @@ class SessionDeltaSource(DeltaSource):
 class ShadowDeltaSource(DeltaSource):
     """Deltas from a shadow memory session mirroring the tenant.
 
-    For backends whose ``check()`` is a full re-scan (``naive``/``sql``)
-    or an out-of-core pass (``sqlfile``), the service seeds an in-memory
+    For backends whose ``check()`` is a full re-scan (``naive``) or a
+    pass inside sqlite (``sql``/``sqlfile``), the service seeds an in-memory
     ``memory`` session with the same data at tenant creation and mirrors
     every batch into it. Each commit then applies the batch to the
     shadow and runs a shadow ``check()`` — its versioned scan cache

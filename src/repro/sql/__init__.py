@@ -1,4 +1,5 @@
-"""SQL backend: DDL, loading, and violation detection on sqlite3."""
+"""sqlite3 support: DDL, loading and attaching files, and pushed-down
+violation detection (:mod:`repro.sql.violations`)."""
 
 from repro.sql.ddl import (
     create_schema_sql,
@@ -8,16 +9,12 @@ from repro.sql.ddl import (
     sql_type,
 )
 from repro.sql.loader import (
-    connect_memory,
     create_database_file,
     load_database,
     read_database_file,
 )
-from repro.sql.violations import SQLViolationDetector, sql_check_database
 
 __all__ = [
-    "SQLViolationDetector",
-    "connect_memory",
     "create_database_file",
     "create_schema_sql",
     "create_table_sql",
@@ -25,6 +22,5 @@ __all__ = [
     "load_database",
     "quote_identifier",
     "read_database_file",
-    "sql_check_database",
     "sql_type",
 ]

@@ -1,20 +1,14 @@
 """Loading, attaching, and fingerprinting sqlite3 databases.
 
-Two ways of getting a connection:
-
-* :func:`connect_memory` + :func:`load_database` — serialize an in-memory
-  :class:`~repro.relational.instance.DatabaseInstance` into a fresh
-  ``:memory:`` database (the classic ``sql`` backend path);
-* :func:`connect_file` + :func:`introspect_schema` — attach to an
-  *existing* sqlite file and verify its tables match the schema, for the
-  out-of-core ``sqlfile`` backend that runs detection where the data
-  lives.
-
-:func:`create_database_file` writes an instance out as a sqlite file
+:func:`create_database_file` writes an in-memory
+:class:`~repro.relational.instance.DatabaseInstance` out as a sqlite file
 (rowid order = tuple insertion order, which is what keeps file-backed
-reports bit-identical to the in-memory engine), and
-:func:`table_fingerprint` / :func:`data_version` supply the cheap change
-detectors that key the ``sqlfile`` backend's result cache.
+reports bit-identical to the in-memory engine); :func:`connect_file` +
+:func:`introspect_schema` attach to an *existing* file and verify its
+tables match the schema, for the ``sqlfile`` backend (and the ``sql``
+backend, which is ``sqlfile`` over a private image) that runs detection
+where the data lives. :func:`table_fingerprint` / :func:`data_version`
+supply the cheap change detectors that key their result cache.
 """
 
 from __future__ import annotations
@@ -22,25 +16,13 @@ from __future__ import annotations
 import sqlite3
 import zlib
 from pathlib import Path
+from typing import Iterable
 
 from repro.errors import SQLBackendError
 from repro.relational.instance import DatabaseInstance
-from repro.relational.schema import DatabaseSchema
-from repro.sql.ddl import create_table_sql, insert_sql
+from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.sql.ddl import create_table_sql, insert_sql, sql_type
 from repro.sql.ddl import quote_identifier as q
-
-
-def connect_memory() -> sqlite3.Connection:
-    """A fresh in-memory sqlite connection.
-
-    ``check_same_thread=False``: the serving layer runs detection calls on
-    a thread pool, so a session's connection legitimately migrates between
-    executor threads (creation in one, queries or ``close()`` in another).
-    sqlite itself is compiled in serialized mode — per-connection mutexes
-    make cross-thread use safe; the service's per-tenant locks order the
-    accesses that must not interleave.
-    """
-    return sqlite3.connect(":memory:", check_same_thread=False)
 
 
 def connect_file(
@@ -65,8 +47,10 @@ def connect_file(
             f"file:{path}?mode={mode}",
             uri=True,
             isolation_level=None,
-            # The serving layer moves sessions between executor threads;
-            # sqlite's serialized mode makes that safe (see connect_memory).
+            # The serving layer moves sessions between executor threads
+            # (creation in one, queries or close() in another); sqlite is
+            # compiled in serialized mode, and the backend's session lock
+            # orders the accesses that must not interleave.
             check_same_thread=False,
         )
     except sqlite3.OperationalError as exc:
@@ -235,6 +219,31 @@ def read_database_file(
     finally:
         conn.close()
     return db
+
+
+def check_round_trip(relation: RelationSchema, rows: Iterable[tuple]) -> None:
+    """Refuse values that sqlite's column affinity would convert.
+
+    A number stored in a TEXT column comes back as its string image, and
+    a numeric string in an INTEGER column as a number; either would make
+    reports over a sqlite copy of the rows differ from the in-memory
+    engine's. Both are values outside their attribute's domain.
+    """
+    for attribute, column in zip(relation, zip(*rows)):
+        converted = (
+            (str,) if sql_type(attribute.domain) == "INTEGER" else (int, float)
+        )
+        stray = sorted(
+            kind.__name__
+            for kind in set(map(type, column))
+            if issubclass(kind, converted)
+        )
+        if stray:
+            raise SQLBackendError(
+                f"{relation.name}.{attribute.name} holds {stray} values, "
+                f"which a {sql_type(attribute.domain)} column would not "
+                "return unchanged"
+            )
 
 
 def create_database_file(

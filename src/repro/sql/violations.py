@@ -1,34 +1,15 @@
 """SQL-based violation detection for CFDs and CINDs.
 
-For CFDs this follows the technique of [9] (as the paper recommends in
-Section 7/8): the pattern tableau is loaded as a *data table* (wildcards
-as NULL) and two queries per CFD find
-
-* ``Q1`` — single-tuple violations: tuples matching some pattern row's LHS
-  whose RHS value differs from the row's RHS constant;
-* ``Q2`` — pair violations: LHS groups matching a row that disagree on the
-  RHS attribute (all tuples of such a group are reported, mirroring the
-  in-memory engine).
-
-For CINDs (Section 8 flags this as the paper's planned follow-up, so we
-build it) each normal-form row becomes one anti-join::
-
-    SELECT t1.* FROM Ra t1
-    WHERE t1.xp = :consts...
-      AND NOT EXISTS (SELECT 1 FROM Rb t2
-                      WHERE t2.B1 = t1.A1 AND ... AND t2.yp = :consts...)
-
-All constants travel as bound parameters — nothing is interpolated into
-SQL text except quoted identifiers.
-
-:class:`SQLPlanExecutor` is the out-of-core counterpart: it pushes a
-:class:`~repro.engine.planner.DetectionPlan`'s *shared* scan units down as
-SQL — one ``GROUP BY`` pass per CFD ``(relation, X)`` scan group (reusing
-one tableau temp table per CFD across every constraint in the group) and
-one witness anti-join per deduplicated CIND signature — instead of the
-per-constraint full-table rescans above, with count-only and
-``EXISTS``-based early-exit variants mirroring the in-memory engine's
-scan modes.
+The paper's Section 7/8 plans SQL detection "along the same lines as
+[9]": pattern tableaux travel as *data tables* (wildcards as NULL) and
+CIND violations are anti-joins. :class:`SQLPlanExecutor` does this for a
+whole :class:`~repro.engine.planner.DetectionPlan` at once, pushing its
+*shared* scan units down into sqlite — one pass per CFD ``(relation, X)``
+scan group and one witness anti-join per deduplicated CIND signature —
+with count-only and ``EXISTS``-based early-exit variants mirroring the
+in-memory engine's scan modes. Every constant travels as a bound
+parameter; nothing is interpolated into SQL text except quoted
+identifiers.
 """
 
 from __future__ import annotations
@@ -37,8 +18,6 @@ import sqlite3
 from typing import Any, Iterable
 
 from repro.core.cfd import CFD
-from repro.core.cind import CIND
-from repro.core.violations import ConstraintSet, constraint_labels
 from repro.engine.planner import (
     CFDScanGroup,
     CINDRowTask,
@@ -46,12 +25,11 @@ from repro.engine.planner import (
     passes,
 )
 from repro.errors import SQLBackendError
-from repro.relational.instance import DatabaseInstance, Tuple
+from repro.relational.instance import Tuple
 from repro.relational.schema import RelationSchema
 from repro.relational.values import is_wildcard
-from repro.sql.ddl import distinct_count_expr, row_predicate, select_columns
+from repro.sql.ddl import distinct_count_expr, select_columns
 from repro.sql.ddl import quote_identifier as q
-from repro.sql.loader import connect_memory, load_database
 from repro.sql.windows import cfd_onepass_hits, supports_window_functions
 
 
@@ -59,12 +37,11 @@ class TableauCache:
     """Pattern tableaux as TEMP data tables, one per distinct CFD content.
 
     Keying by *content* ``(relation, X, Y, pattern rows)`` rather than by
-    object identity means repeated ``check()`` calls — and distinct CFD
-    objects with equal tableaux — reuse one table instead of leaking a new
-    ``__tableau_N`` per call onto a long-lived connection (the historical
-    behaviour this class replaces). ``drop_all()`` removes every table the
-    cache created, so detectors attached to a caller's connection can
-    clean up after themselves without closing it.
+    object identity means repeated scans — and distinct CFD objects with
+    equal tableaux — reuse one table instead of leaking a new
+    ``__tableau_N`` per call onto a long-lived connection. ``drop_all()``
+    removes every table the cache created, so an executor on a caller's
+    connection can clean up after itself without closing it.
     """
 
     def __init__(self, conn: sqlite3.Connection):
@@ -127,219 +104,10 @@ class TableauCache:
         self._by_content.clear()
 
 
-class SQLViolationDetector:
-    """Runs violation queries for a constraint set over sqlite3.
-
-    Construct from an in-memory :class:`DatabaseInstance` (loaded into a
-    fresh ``:memory:`` connection the detector owns) or attach to an
-    existing connection that already holds the tables — in which case the
-    connection stays the caller's: :meth:`close` drops the detector's temp
-    tables but leaves the connection open.
-    """
-
-    def __init__(
-        self,
-        db: DatabaseInstance | None = None,
-        conn: sqlite3.Connection | None = None,
-    ):
-        if (db is None) == (conn is None):
-            raise SQLBackendError("provide exactly one of db= or conn=")
-        self._owns_conn = db is not None
-        if db is not None:
-            conn = connect_memory()
-            load_database(conn, db)
-        self.conn = conn
-        self._tableaux = TableauCache(conn)
-
-    # -- CFDs ----------------------------------------------------------------
-
-    def _load_tableau(self, cfd: CFD) -> str:
-        """The CFD's tableau as a (cached) temp data table; returns its name."""
-        return self._tableaux.get(cfd)
-
-    def cfd_violating_rows(self, cfd: CFD) -> set[tuple[Any, ...]]:
-        """All rows of the relation involved in some violation of *cfd*.
-
-        Matches :meth:`repro.core.cfd.CFD.violating_tuples` exactly (the
-        cross-validation tests rely on it).
-        """
-        rel = cfd.relation
-        tableau = self._load_tableau(cfd)
-        all_cols = ", ".join(f"t.{q(a.name)}" for a in rel)
-        match_lhs = " AND ".join(
-            f"(tp.{q('lhs_' + a)} IS NULL OR t.{q(a)} = tp.{q('lhs_' + a)})"
-            for a in cfd.lhs
-        ) or "1=1"
-
-        out: set[tuple[Any, ...]] = set()
-        cursor = self.conn.cursor()
-
-        # Q1: single-tuple violations against constant RHS patterns.
-        rhs_mismatch = " OR ".join(
-            f"(tp.{q('rhs_' + a)} IS NOT NULL AND t.{q(a)} <> tp.{q('rhs_' + a)})"
-            for a in cfd.rhs
-        )
-        q1 = (
-            f"SELECT DISTINCT {all_cols} FROM {q(rel.name)} t, {q(tableau)} tp "
-            f"WHERE {match_lhs} AND ({rhs_mismatch})"
-        )
-        out.update(cursor.execute(q1).fetchall())
-
-        # Q2: groups matching a pattern row that disagree on the RHS.
-        # sqlite has no multi-column COUNT(DISTINCT ...); concatenate the
-        # quote()d values (injective) when the RHS has several attributes.
-        if len(cfd.rhs) == 1:
-            distinct_rhs = f"t.{q(cfd.rhs[0])}"
-        else:
-            distinct_rhs = " || ',' || ".join(
-                f"quote(t.{q(a)})" for a in cfd.rhs
-            )
-        if cfd.lhs:
-            group_cols = ", ".join(f"t.{q(a)}" for a in cfd.lhs)
-            q2_groups = (
-                f"SELECT {group_cols}, tp.rowid AS prow "
-                f"FROM {q(rel.name)} t, {q(tableau)} tp "
-                f"WHERE {match_lhs} "
-                f"GROUP BY tp.rowid, {group_cols} "
-                f"HAVING COUNT(DISTINCT {distinct_rhs}) > 1"
-            )
-            join_cond = " AND ".join(
-                f"t.{q(a)} = g.{q(a)}" for a in cfd.lhs
-            )
-            q2 = (
-                f"SELECT DISTINCT {all_cols} FROM {q(rel.name)} t "
-                f"JOIN ({q2_groups}) g ON {join_cond}"
-            )
-            out.update(cursor.execute(q2).fetchall())
-        else:
-            # Empty LHS: the whole relation is one group per pattern row.
-            q2_check = (
-                f"SELECT COUNT(DISTINCT {distinct_rhs}) FROM {q(rel.name)} t"
-            )
-            (distinct,) = cursor.execute(q2_check).fetchone()
-            if distinct is not None and distinct > 1 and len(cfd.tableau) > 0:
-                q2_all = f"SELECT DISTINCT {all_cols} FROM {q(rel.name)} t"
-                out.update(cursor.execute(q2_all).fetchall())
-        return out
-
-    # -- CINDs -----------------------------------------------------------------------
-
-    def cind_violating_rows_by_pattern(
-        self, cind: CIND
-    ) -> list[set[tuple[Any, ...]]]:
-        """Violating LHS rows per pattern row, in tableau order.
-
-        One anti-join per row; the per-row split is what lets the
-        :class:`~repro.api.backends.SQLBackend` adapter rebuild
-        engine-identical ``CINDViolation`` objects (which carry the
-        pattern index).
-        """
-        ra = cind.lhs_relation
-        rb = cind.rhs_relation
-        all_cols = ", ".join(f"t1.{q(a.name)}" for a in ra)
-        out: list[set[tuple[Any, ...]]] = []
-        cursor = self.conn.cursor()
-        for row in cind.tableau:
-            premise: list[str] = []
-            params: list[Any] = []
-            for a in cind.x + cind.xp:
-                value = row.lhs_value(a)
-                if not is_wildcard(value):
-                    premise.append(f"t1.{q(a)} = ?")
-                    params.append(value)
-            witness: list[str] = []
-            for a, b in zip(cind.x, cind.y):
-                witness.append(f"t2.{q(b)} = t1.{q(a)}")
-            for b in cind.yp:
-                value = row.rhs_value(b)
-                if not is_wildcard(value):
-                    witness.append(f"t2.{q(b)} = ?")
-                    params.append(value)
-            where = " AND ".join(premise) or "1=1"
-            exists_cond = " AND ".join(witness) or "1=1"
-            sql = (
-                f"SELECT DISTINCT {all_cols} FROM {q(ra.name)} t1 "
-                f"WHERE {where} AND NOT EXISTS ("
-                f"SELECT 1 FROM {q(rb.name)} t2 WHERE {exists_cond})"
-            )
-            out.append(set(cursor.execute(sql, params).fetchall()))
-        return out
-
-    def cind_violating_rows(self, cind: CIND) -> set[tuple[Any, ...]]:
-        """LHS rows matching some pattern row with no RHS witness.
-
-        Matches :meth:`repro.core.cind.CIND.violating_tuples`.
-        """
-        out: set[tuple[Any, ...]] = set()
-        for rows in self.cind_violating_rows_by_pattern(cind):
-            out |= rows
-        return out
-
-    # -- whole constraint sets ----------------------------------------------------------
-
-    def check(self, sigma: ConstraintSet) -> dict[str, set[tuple[Any, ...]]]:
-        """Violating rows per constraint label.
-
-        Labels come from :func:`repro.core.violations.constraint_labels`, so
-        two distinct constraints with equal names/reprs get separate entries
-        (matching the in-memory engine's ``by_constraint`` keys) instead of
-        silently overwriting each other.
-
-        Constraints with **zero** violations are omitted (historical
-        behaviour, kept for compatibility). The facade-level
-        :meth:`repro.api.backends.SQLBackend.violating_rows` normalizes
-        this: it keys every constraint of Σ, empty set when clean.
-        """
-        labels = constraint_labels(sigma)
-        out: dict[str, set[tuple[Any, ...]]] = {}
-        for cfd in sigma.cfds:
-            rows = self.cfd_violating_rows(cfd)
-            if rows:
-                out[labels[id(cfd)]] = rows
-        for cind in sigma.cinds:
-            rows = self.cind_violating_rows(cind)
-            if rows:
-                out[labels[id(cind)]] = rows
-        return out
-
-    def is_clean(self, sigma: ConstraintSet) -> bool:
-        return not self.check(sigma)
-
-    def close(self) -> None:
-        """Release resources.
-
-        Owned connections (constructed with ``db=``) are closed; attached
-        connections (constructed with ``conn=``) belong to the caller and
-        stay open — only the detector's tableau temp tables are dropped.
-        """
-        if self._owns_conn:
-            self.conn.close()
-        else:
-            self._tableaux.drop_all()
-
-    def __enter__(self) -> "SQLViolationDetector":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def sql_check_database(
-    db: DatabaseInstance, sigma: ConstraintSet
-) -> dict[str, set[tuple[Any, ...]]]:
-    """One-shot convenience wrapper around :class:`SQLViolationDetector`."""
-    with SQLViolationDetector(db=db) as detector:
-        return detector.check(sigma)
-
-
-# -- pushed-down shared scans (the out-of-core ``sqlfile`` path) ---------------
-
-
 class SQLPlanExecutor:
     """Execute a :class:`~repro.engine.planner.DetectionPlan` *inside* sqlite.
 
-    Where :class:`SQLViolationDetector` issues per-constraint queries, this
-    executor pushes the plan's shared scan units down whole:
+    The plan's shared scan units are pushed down whole:
 
     * **CFD scan groups** — by default (``window_functions="auto"`` on a
       sqlite with window functions) each group runs the *one-pass* path of

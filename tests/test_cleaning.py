@@ -34,9 +34,8 @@ class TestDetection:
     def test_sql_detection_agrees(self, bank):
         mem = connect(bank.db, bank.constraints).detect()
         with connect(bank.db, bank.constraints, backend="sql") as session:
-            rows = session.backend.violating_rows()
-        sql = {label for label, violating in rows.items() if violating}
-        assert sql == set(mem.report.by_constraint())
+            sql = session.check().by_constraint()
+        assert sql == mem.report.by_constraint()
 
     def test_clean_database(self, bank):
         result = connect(bank.clean_db, bank.constraints).detect()

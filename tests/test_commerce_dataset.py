@@ -13,7 +13,6 @@ from repro.datasets.commerce import (
     commerce_instance,
     commerce_schema,
 )
-from repro.sql.violations import sql_check_database
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +61,9 @@ class TestDirtyInstance:
         schema, sigma = setting
         db = commerce_instance(200, error_rate=0.15, seed=5, schema=schema)
         memory = connect(db, sigma).detect()
-        sql = sql_check_database(db, sigma)
-        assert set(sql) == set(memory.report.by_constraint())
+        with connect(db, sigma, backend="sql") as session:
+            sql = session.check().by_constraint()
+        assert sql == memory.report.by_constraint()
 
     def test_repairable_with_delete_policy(self, setting):
         # Price-drifted paid orders cannot be fixed by inserting catalog

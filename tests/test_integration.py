@@ -26,7 +26,6 @@ from repro.generator.data_gen import (
     populate_clean,
 )
 from repro.generator.schema_gen import random_schema
-from repro.sql.violations import sql_check_database
 
 
 @pytest.mark.parametrize("seed", [3, 11, 27])
@@ -86,8 +85,9 @@ class TestDirtyDataPipeline:
         inject_cfd_violations(db, sigma, 3, rng=rng)
         inject_cind_violations(db, sigma, 3, rng=rng)
         memory = connect(db, sigma).detect()
-        sql = sql_check_database(db, sigma)
-        assert set(sql) == set(memory.report.by_constraint())
+        with connect(db, sigma, backend="sql") as session:
+            sql = session.check().by_constraint()
+        assert sql == memory.report.by_constraint()
 
 
 class TestBankFullCycle:

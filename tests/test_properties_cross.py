@@ -17,6 +17,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import connect
 from repro.consistency.checking import checking
 from repro.consistency.random_checking import random_checking
 from repro.core.consistency import build_cind_witness
@@ -24,7 +25,6 @@ from repro.core.normalize import normalize_cinds
 from repro.core.violations import ConstraintSet, check_database
 from repro.generator.constraint_gen import random_constraints
 from repro.generator.schema_gen import random_schema
-from repro.sql.violations import sql_check_database
 from repro.views.spc import SPView, materialize, propagate_cinds
 
 from tests.strategies import cinds as cind_strategy
@@ -63,8 +63,9 @@ def test_sql_and_memory_agree_on_constraint_sets(data):
         sigma.add_cind(data.draw(cind_strategy(src, dst)))
     db = data.draw(instances(schema, max_tuples=8))
     memory = check_database(db, sigma)
-    sql = sql_check_database(db, sigma)
-    assert bool(sql) == (not memory.is_clean)
+    with connect(db, sigma, backend="sql") as session:
+        sql = session.check()
+    assert sql.by_constraint() == memory.by_constraint()
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -459,13 +460,16 @@ class TestBatchInvalidation:
             bank.clean_db.copy(), bank.constraints, backend=backend
         )
         calls = []
-        original = session.backend._invalidate
+        # The sql backend is sqlfile over a private image: its cache is
+        # invalidated per touched table, once per committed write.
+        hook = "_touch_tables" if backend == "sql" else "_invalidate"
+        original = getattr(session.backend, hook)
 
-        def counting_invalidate():
+        def counting_invalidate(*args):
             calls.append(1)
-            original()
+            original(*args)
 
-        session.backend._invalidate = counting_invalidate
+        setattr(session.backend, hook, counting_invalidate)
 
         rows = self._rows()
         result = session.apply(
@@ -859,6 +863,56 @@ class TestProtocol:
 
 
 class TestDetectionService:
+    def test_concurrent_reads_on_one_sqlfile_session(self, bank, tmp_path):
+        """Without pooled readers, every read of a sqlfile tenant runs on
+        the tenant's own session: concurrent reads share its connection,
+        witness temp tables and cache, and must all return the report a
+        lone reader would see; close() must wait for in-flight reads."""
+        from repro.datasets.bank import scaled_bank_instance
+        from tests.conformance import report_key
+
+        db = scaled_bank_instance(2000, seed=3)
+        path = create_database_file(tmp_path / "bank.db", db)
+        row = ("X1", "N. Body", "EDI", "131-0000000", "EDI")
+        with_row = db.copy()
+        with_row["saving"].add(row)
+        expected = [
+            report_key(api.connect(d, bank.constraints).check())
+            for d in (with_row, db)
+        ]
+
+        async def scenario():
+            service = DetectionService(max_workers=4, reader_pool_size=0)
+            await service.create_tenant(
+                "t", str(path), bank.constraints, backend="sqlfile"
+            )
+            for i in range(30):
+                # Insert, then delete, the same row: every round's reads
+                # find the touched scan units cold and rebuild witnesses.
+                op = {"deletes" if i % 2 else "inserts": [("saving", row)]}
+                await service.apply("t", **op)
+                reports = await asyncio.gather(
+                    *(service.check("t") for __ in range(4))
+                )
+                assert [report_key(r) for r in reports] == [expected[i % 2]] * 4
+            in_flight = [
+                asyncio.ensure_future(service.check("t")) for __ in range(2)
+            ]
+            await asyncio.sleep(0)
+            await service.close()
+            for read in in_flight:
+                try:
+                    assert report_key(await read) == expected[1]
+                except SessionClosedError:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run(asyncio.wait_for(scenario(), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_closed_service_refuses_calls(self, bank):
         async def scenario():
             service = DetectionService()
