@@ -906,6 +906,10 @@ class SQLBackend(SQLFileBackend):
         insert_ops, delete_ops = self._coerce_batch(inserts, deletes)
         for __, t in insert_ops:
             check_round_trip(t.schema, (t.values,))
+        # A delete of another relation's tuple is a no-op, as in memory.
+        delete_ops = [
+            (rel, t) for rel, t in delete_ops if t.schema.name == rel
+        ]
         result = super().apply(insert_ops, delete_ops)
         for relation, t in delete_ops:
             self.db[relation].discard(t)

@@ -68,25 +68,25 @@ class ExecutionOptions:
         shard per row). For ``sqlfile`` this is the rowid-window count
         per relation scan.
     window_functions:
-        Whether the ``sqlfile`` (and ``sql``) backend's CFD detection may use sqlite
-        window functions (``MIN(rhs) OVER (PARTITION BY X)`` one-pass
-        queries): ``"auto"`` (default) probes the sqlite library at
+        Whether the ``sqlfile`` (and ``sql``) backend's CFD detection may
+        use sqlite window functions (``MIN(rhs) OVER (PARTITION BY X)``
+        one-pass queries): ``"auto"`` (default) probes the sqlite library at
         connect time and falls back to the legacy GROUP-BY-then-join SQL
         when unavailable (< 3.25); ``"off"`` forces the legacy SQL
         (benchmark baselines, differential tests); ``"require"`` raises
         :class:`~repro.errors.SQLBackendError` instead of falling back.
         Results are bit-identical either way. Other backends ignore it.
     fingerprint:
-        How the ``sqlfile`` (and ``sql``) backend fingerprints tables when validating
-        its cache after a foreign commit: ``"rowid"`` (default) compares
-        cheap ``(max rowid, COUNT(*))`` pairs — O(1) per table but blind
-        to a writer that deletes and re-inserts behind the same rowid
-        envelope; ``"content"`` sums CRC32 hashes of each row's rowid
-        and values inside SQL — one aggregate scan per table per foreign
-        commit, closes the delete+reinsert hole (including a re-insert
-        of the same tuple, which moves it in scan order). In-memory
-        backends ignore it (their
-        mutation counters are exact).
+        How the ``sqlfile`` (and ``sql``) backend fingerprints tables when
+        validating its cache after a foreign commit: ``"rowid"``
+        (default) compares cheap ``(max rowid, COUNT(*))`` pairs — O(1)
+        per table but blind to a writer that deletes and re-inserts
+        behind the same rowid envelope; ``"content"`` sums CRC32 hashes
+        of each row's rowid and values inside SQL — one aggregate scan
+        per table per foreign commit, closes the delete+reinsert hole
+        (including a re-insert of the same tuple, which moves it in scan
+        order). In-memory backends ignore it (their mutation counters
+        are exact).
     readonly:
         Only meaningful for the sqlite backends (``sqlfile``, and ``sql``
         on its private image): open the database file read-only, so

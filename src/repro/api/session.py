@@ -130,8 +130,8 @@ class Session:
         """The pool parallel dispatch runs on, for honest reporting:
         ``"process"`` for a parallel ``memory`` session (its session-long
         fork pool), ``"thread"`` for a parallel ``sqlfile`` or ``sql``
-        session (its read-only rowid-window connection pool). ``None`` for serial
-        sessions, backends that never parallelize, and ``workers > 1``
+        session (its read-only rowid-window connection pool). ``None`` for
+        serial sessions, backends that never parallelize, and ``workers > 1``
         on ``memory`` where the platform has no ``fork`` (the serial
         engine runs there)."""
         return getattr(self.backend, "effective_executor", None)

@@ -293,6 +293,15 @@ class TestPrivateImage:
                 session.insert("R", ("b", "2"))
             assert len(db["R"]) == 1
 
+    def test_delete_of_another_relations_tuple_is_a_noop(self, bank):
+        t = next(iter(bank.db["interest"]))
+        with api.connect(
+            bank.db.copy(), bank.constraints, backend="sql"
+        ) as session:
+            assert not session.delete("saving", t)
+            assert not session.apply(deletes=[("saving", t)])
+            assert len(session.db["interest"]) == len(bank.db["interest"])
+
     def test_close_removes_the_image(self, bank):
         session = api.connect(bank.db, bank.constraints, backend="sql")
         image = session.backend.path
