@@ -302,6 +302,21 @@ class TestPrivateImage:
             assert not session.apply(deletes=[("saving", t)])
             assert len(session.db["interest"]) == len(bank.db["interest"])
 
+    def test_readonly_and_workers_apply_as_on_sqlfile(self, bank):
+        with api.connect(
+            bank.db, bank.constraints, backend="sql", readonly=True
+        ) as session:
+            with pytest.raises(SQLBackendError, match="read-only"):
+                session.insert("interest", ("GLA", "UK", "checking", "9%"))
+            assert len(session.db["interest"]) == len(bank.db["interest"])
+        with api.connect(
+            bank.db, bank.constraints, backend="sql", workers=2, shards=3
+        ) as session:
+            assert session.effective_executor == "thread"
+            assert report_key(session.check()) == report_key(
+                check_database_naive(bank.db, bank.constraints)
+            )
+
     def test_close_removes_the_image(self, bank):
         session = api.connect(bank.db, bank.constraints, backend="sql")
         image = session.backend.path
