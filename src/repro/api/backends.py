@@ -715,6 +715,19 @@ class SQLFileBackend(BaseBackend):
             return row
         return Tuple(rel, row)
 
+    def _coerce_deletes(
+        self, deletes: Iterable[DMLOp]
+    ) -> list[tuple[str, Tuple]]:
+        """Delete ops as ``(relation, Tuple)``. A delete of another
+        relation's tuple is dropped: a set-semantics no-op, as on the
+        in-memory backends."""
+        return [
+            (relation, self._coerce(relation, row))
+            for relation, row in deletes
+            if not isinstance(row, Tuple)
+            or row.schema.name == self.sigma.schema.relation(relation).name
+        ]
+
     def _ensure_writable(self) -> None:
         if self.options.readonly:
             raise SQLBackendError(
@@ -763,7 +776,10 @@ class SQLFileBackend(BaseBackend):
         A single statement on an autocommit connection — atomic as is.
         """
         self._ensure_writable()
-        t = self._coerce(relation, row)
+        ops = self._coerce_deletes([(relation, row)])
+        if not ops:
+            return False
+        [(__, t)] = ops
         pred = row_predicate(list(t.schema.attribute_names), "t")
         cursor = self.conn.execute(
             f"DELETE FROM {quote_identifier(relation)} AS t WHERE {pred}",
@@ -787,9 +803,7 @@ class SQLFileBackend(BaseBackend):
         of the file never observe a half-applied batch.
         """
         self._ensure_writable()
-        delete_ops = [
-            (relation, self._coerce(relation, row)) for relation, row in deletes
-        ]
+        delete_ops = self._coerce_deletes(deletes)
         insert_ops = [
             (relation, self._coerce(relation, row)) for relation, row in inserts
         ]
@@ -906,10 +920,6 @@ class SQLBackend(SQLFileBackend):
         insert_ops, delete_ops = self._coerce_batch(inserts, deletes)
         for __, t in insert_ops:
             check_round_trip(t.schema, (t.values,))
-        # A delete of another relation's tuple is a no-op, as in memory.
-        delete_ops = [
-            (rel, t) for rel, t in delete_ops if t.schema.name == rel
-        ]
         result = super().apply(insert_ops, delete_ops)
         for relation, t in delete_ops:
             self.db[relation].discard(t)

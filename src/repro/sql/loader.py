@@ -225,25 +225,48 @@ def check_round_trip(relation: RelationSchema, rows: Iterable[tuple]) -> None:
     """Refuse values that sqlite's column affinity would convert.
 
     A number stored in a TEXT column comes back as its string image, and
-    a numeric string in an INTEGER column as a number; either would make
-    reports over a sqlite copy of the rows differ from the in-memory
-    engine's. Both are values outside their attribute's domain.
+    a numeric string (``'12'``, ``'1e3'``) in an INTEGER column as a
+    number; either would make reports over a sqlite copy of the rows
+    differ from the in-memory engine's. Other strings in an INTEGER
+    column (``'repair#1'``, the repair planner's fill value) are stored
+    as text and come back unchanged, so they are let through; sqlite
+    itself decides which strings it converts.
     """
     for attribute, column in zip(relation, zip(*rows)):
-        converted = (
-            (str,) if sql_type(attribute.domain) == "INTEGER" else (int, float)
-        )
-        stray = sorted(
-            kind.__name__
-            for kind in set(map(type, column))
-            if issubclass(kind, converted)
-        )
+        affinity = sql_type(attribute.domain)
+        if affinity == "INTEGER":
+            stray = _converted_strings(
+                {v for v in column if isinstance(v, str)}
+            )
+        else:
+            stray = sorted(
+                {repr(v) for v in column if isinstance(v, (int, float))}
+            )
         if stray:
             raise SQLBackendError(
-                f"{relation.name}.{attribute.name} holds {stray} values, "
-                f"which a {sql_type(attribute.domain)} column would not "
-                "return unchanged"
+                f"{relation.name}.{attribute.name} holds {stray[:3]}, "
+                f"which a column of {affinity} affinity would not return "
+                "unchanged"
             )
+
+
+def _converted_strings(strings: set[str]) -> list[str]:
+    """The *strings* an INTEGER-affinity column would store as numbers."""
+    if not strings:
+        return []
+    ordered = sorted(strings)
+    probe = sqlite3.connect(":memory:")
+    try:
+        probe.execute("CREATE TABLE probe (v INTEGER)")
+        probe.executemany(
+            "INSERT INTO probe VALUES (?)", ((s,) for s in ordered)
+        )
+        kinds = probe.execute("SELECT typeof(v) FROM probe ORDER BY rowid")
+        return [
+            repr(s) for s, (kind,) in zip(ordered, kinds) if kind != "text"
+        ]
+    finally:
+        probe.close()
 
 
 def create_database_file(

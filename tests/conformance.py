@@ -232,6 +232,18 @@ class BackendContract:
                 check_database_naive(bank.clean_db, bank.constraints)
             )
 
+    def test_delete_of_another_relations_tuple_is_a_noop(
+        self, bank, make_session
+    ):
+        t = next(iter(bank.db["interest"]))
+        with make_session(bank.db.copy(), bank.constraints) as session:
+            assert session.delete("saving", t) is False
+            result = session.apply(deletes=[("saving", t)])
+            assert (result.inserted, result.deleted) == (0, 0)
+            assert report_key(session.check()) == report_key(
+                check_database_naive(bank.db, bank.constraints)
+            )
+
     def test_mutation_interleaving_matches_oracle(self, bank, make_session):
         """A fixed insert/check/delete/check script answers, at every
         observation point, exactly like a fresh naive oracle over a

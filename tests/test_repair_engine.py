@@ -21,8 +21,9 @@ from repro.core.cfd import CFD, standard_fd
 from repro.core.cind import CIND
 from repro.core.violations import ConstraintSet, check_database
 from repro.datasets.bank import bank_constraints, scaled_bank_instance
+from repro.relational.domains import INTEGER
 from repro.relational.instance import DatabaseInstance
-from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.relational.values import WILDCARD as _
 
 from tests.strategies import cfds as cfd_strategy
@@ -290,6 +291,26 @@ class TestDeltaFullEquivalence:
             result = repair(db.copy(), sigma, backend=backend, mode="delta")
             assert snap(result.db) == snap(reference.db), backend
             assert result.rounds == 2
+
+    @pytest.mark.parametrize("backend", ("sql", "sqlfile"))
+    def test_cind_insert_fills_an_integer_attribute(self, backend):
+        # The inserted witness's unconstrained INTEGER column gets the
+        # planner's string fill ('repair#1'), which sqlite stores as text.
+        s = RelationSchema("S", ["K"])
+        t = RelationSchema("T", ["K", Attribute("N", INTEGER)])
+        schema = DatabaseSchema([s, t])
+        cind = CIND(s, ("K",), (), t, ("K",), (), [((_,), (_,))], name="s_in_t")
+        sigma = ConstraintSet(schema, cinds=[cind])
+        db = DatabaseInstance(
+            schema, {"S": [("k1",), ("k2",)], "T": [("k2", 7)]}
+        )
+        reference = repair(db.copy(), sigma, backend="memory")
+        assert reference.clean
+        assert ("k1", "repair#1") in {t.values for t in reference.db["T"]}
+        for mode in ("full", "delta"):
+            result = repair(db.copy(), sigma, backend=backend, mode=mode)
+            assert result.clean, mode
+            assert snap(result.db) == snap(reference.db), mode
 
     def test_session_repair_routes_backend(self):
         db = dirty_bank(80, 0.25, 6)
